@@ -4,11 +4,11 @@ split-direction strategies, an exact brute-force oracle, and a benchmark CLI.
 
 from .core import Dataset, dispersion, euclidean_distance, project, random_unit_direction
 from .forest import NeighborList, RpForest, build_forest, query_batch, query_knn, query_all_training
-from .metrics import distance_error, missing_rate, time_run
+from .metrics import distance_error, missing_rate
 from .oracle import all_true_neighbors, exact_knn
 from .stats import TTestResult, two_sample_ttest
 from .strategies import DirectionChoice, Method, StrategyConfig
-from .tree import RpTree, TreeConfig, build_tree, traverse_to_leaf
+from .tree import RpTree, TreeConfig, assign_leaves, build_tree
 
 __all__ = [
     "Dataset",
@@ -21,6 +21,7 @@ __all__ = [
     "TTestResult",
     "TreeConfig",
     "all_true_neighbors",
+    "assign_leaves",
     "build_forest",
     "build_tree",
     "dispersion",
@@ -33,8 +34,6 @@ __all__ = [
     "query_knn",
     "query_all_training",
     "random_unit_direction",
-    "time_run",
-    "traverse_to_leaf",
     "two_sample_ttest",
 ]
 

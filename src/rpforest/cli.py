@@ -8,12 +8,14 @@ table, so all methods are measured against identical ground truth.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .core import Dataset
-from .data import gen_concentric_rings, gen_gaussian_blobs, load_csv
+from .data import CsvFormatError, gen_concentric_rings, gen_gaussian_blobs, load_csv
 from .forest import build_forest, query_all_training
 from .metrics import distance_error, missing_rate
 from .oracle import all_true_neighbors
@@ -52,9 +54,9 @@ class ExperimentConfig:
     repetitions: int | None = None  # None: 100 for n <= 2000, else 10
     master_seed: int = 0
     include_timings: bool = True
-    run_metadata: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def validate(self, n: int | None = None) -> None:
+        """Raise ConfigError for an invalid grid; with n, also check k against it."""
         if not self.methods or any(m not in (1, 2, 3, 4) for m in self.methods):
             raise ConfigError(f"methods must be a non-empty subset of 1..4, got {self.methods}")
         if not self.forest_sizes or any(t < 1 for t in self.forest_sizes):
@@ -68,6 +70,8 @@ class ExperimentConfig:
             )
         if self.repetitions is not None and self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
+        if n is not None and max(self.k_values) > n - 1:
+            raise ConfigError(f"max k ({max(self.k_values)}) must be at most n - 1 ({n - 1})")
 
     def effective_repetitions(self, n: int) -> int:
         if self.repetitions is not None:
@@ -121,7 +125,7 @@ def run_experiment_grid(data: Dataset, cfg: ExperimentConfig) -> list[dict]:
     (c, r) under the master seed, so reruns are bit-identical and cells are
     independent.
     """
-    cfg.validate()
+    cfg.validate(data.n)
     reps = cfg.effective_repetitions(data.n)
     truth = {k: all_true_neighbors(data, k) for k in cfg.k_values}
     cells = [
@@ -141,8 +145,6 @@ def run_experiment_grid(data: Dataset, cfg: ExperimentConfig) -> list[dict]:
         for rep in range(reps):
             ss = np.random.SeedSequence(cfg.master_seed, spawn_key=(cell_index, rep))
             seed_id = int(ss.generate_state(1)[0])
-            import time
-
             t0 = time.perf_counter()
             forest = build_forest(data, tree_cfg, n_trees, ss)
             t1 = time.perf_counter()
@@ -293,13 +295,13 @@ def main(argv=None) -> int:
             master_seed=args.seed,
             include_timings=not args.no_timings,
         )
-        cfg.validate()
-    except (ConfigError, ValueError, json.JSONDecodeError) as exc:
+        cfg.validate(data.n)
+        out_dir = Path(args.out).resolve().parent
+        if not out_dir.is_dir():
+            raise FileNotFoundError(f"output directory does not exist: {out_dir}")
+    except (ConfigError, CsvFormatError, ValueError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, OSError) else 1
 
     rows = run_experiment_grid(data, cfg)
     try:

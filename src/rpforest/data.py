@@ -48,6 +48,10 @@ def load_csv(
         raise CsvFormatError(f"{path}: no data rows")
     matrix = np.asarray(rows, dtype=np.float64)
     if label_column is not None:
+        if not -matrix.shape[1] <= label_column < matrix.shape[1]:
+            raise CsvFormatError(
+                f"{path}: label column {label_column} out of range for {matrix.shape[1]} columns"
+            )
         matrix = np.delete(matrix, label_column, axis=1)
     if standardize:
         matrix = matrix - matrix.mean(axis=0)

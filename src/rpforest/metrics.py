@@ -1,4 +1,4 @@
-"""Search-quality metrics and wall-clock accounting.
+"""Search-quality metrics.
 
 Two quality measures over a truth table (exact k-nn) and a found table
 (forest k-nn): the average missing rate (fraction of true neighbors not
@@ -6,24 +6,11 @@ retrieved) and the average distance error (mean excess of the found k-th
 neighbor distance over the true k-th neighbor distance).
 """
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .forest import NeighborList
-
-
-@dataclass
-class EvalReport:
-    missing_rate: float
-    distance_error: float
-    per_point_missed: np.ndarray
-    excluded_rows: int
-    build_time: float
-    query_time: float
-    run_metadata: dict = field(default_factory=dict)
 
 
 def _check_tables(truth: Sequence[NeighborList], found: Sequence[NeighborList], k: int):
@@ -70,13 +57,3 @@ def distance_error(
     if not errors:
         return float("nan"), excluded
     return float(np.mean(errors)), excluded
-
-
-def time_run(build: Callable[[], object], query_all: Callable[[], object]):
-    """Wall-clock each phase on a monotonic clock; returns (build_s, query_s)."""
-    t0 = time.perf_counter()
-    build_result = build()
-    t1 = time.perf_counter()
-    query_result = query_all()
-    t2 = time.perf_counter()
-    return (t1 - t0, t2 - t1), (build_result, query_result)

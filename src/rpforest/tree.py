@@ -1,15 +1,18 @@
-"""Random projection tree: recursive build and root-to-leaf routing.
+"""Random projection tree: recursive build into flat arrays, batched routing.
 
-Internal nodes store the projection direction r and split point c used at
-build time; routing a query reuses exactly the same comparison (x.r < c goes
-left), so every training point routes back to its own leaf.
+Internal node j projects onto directions[j], splits at splits[j] and has
+child codes children[j] = (left, right): code c >= 0 is internal node c, code
+c < 0 is leaf ~c, whose members are leaf_members[leaf_offsets[~c]:...]. Routing
+reuses the build's comparison (x.r < c goes left) and its projection, an
+einsum whose value for a row does not depend on the rows computed with it, so
+every training point routes back to its own leaf.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, check_queries
 from .strategies import DegenerateNodeError, StrategyConfig, choose_direction
 
 
@@ -31,25 +34,44 @@ class TreeConfig:
 
 
 @dataclass
+class RpTree:
+    directions: np.ndarray  # (n_internal, d); internal nodes in preorder
+    splits: np.ndarray  # (n_internal,)
+    children: np.ndarray  # (n_internal, 2) child codes
+    leaf_offsets: np.ndarray  # (n_leaves + 1,) positions in leaf_members
+    leaf_members: np.ndarray  # point ids grouped by leaf, leaves in build order
+    leaf_of: np.ndarray  # training point id -> leaf index
+    config: TreeConfig
+
+    def node(self, code: int) -> "Internal | Leaf":
+        """Read-only view of the node with child code `code`."""
+        if code >= 0:
+            return Internal(self, int(code))
+        lo, hi = self.leaf_offsets[~code : ~code + 2]
+        return Leaf(member_ids=self.leaf_members[lo:hi], index=~int(code))
+
+    root = property(lambda self: self.node(0 if self.splits.size else -1))
+    leaves = property(lambda self: [self.node(~i) for i in range(self.leaf_offsets.size - 1)])
+
+
+@dataclass(frozen=True)
 class Leaf:
+    """A leaf: its member ids (a view into the tree's arrays) and its index."""
+
     member_ids: np.ndarray
     index: int  # position in RpTree.leaves
 
 
-@dataclass
+@dataclass(frozen=True)
 class Internal:
-    direction: np.ndarray
-    split: float
-    left: "Internal | Leaf"
-    right: "Internal | Leaf"
+    """Read-only view of internal node `index` of a tree."""
 
-
-@dataclass
-class RpTree:
-    root: Internal | Leaf
-    leaves: list[Leaf]
-    leaf_of: np.ndarray  # training point id -> leaf index
-    config: TreeConfig
+    tree: RpTree
+    index: int
+    direction = property(lambda self: self.tree.directions[self.index])
+    split = property(lambda self: float(self.tree.splits[self.index]))
+    left = property(lambda self: self.tree.node(self.tree.children[self.index, 0]))
+    right = property(lambda self: self.tree.node(self.tree.children[self.index, 1]))
 
 
 def split_at_quantile(values: np.ndarray, u: float) -> float:
@@ -84,16 +106,15 @@ def build_tree(data: Dataset, cfg: TreeConfig, rng: np.random.Generator) -> RpTr
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
-    leaves: list[Leaf] = []
+    directions, splits, children, members = [], [], [], []
     leaf_of = np.empty(data.n, dtype=np.intp)
 
-    def make_leaf(ids: np.ndarray) -> Leaf:
-        leaf = Leaf(member_ids=ids, index=len(leaves))
-        leaves.append(leaf)
-        leaf_of[ids] = leaf.index
-        return leaf
+    def make_leaf(ids: np.ndarray) -> int:
+        leaf_of[ids] = len(members)
+        members.append(ids)
+        return ~(len(members) - 1)
 
-    def partition(ids: np.ndarray) -> Internal | Leaf:
+    def partition(ids: np.ndarray) -> int:
         if ids.size < cfg.leaf_capacity:
             return make_leaf(ids)
         pts = data.points[ids]
@@ -102,51 +123,52 @@ def build_tree(data: Dataset, cfg: TreeConfig, rng: np.random.Generator) -> RpTr
                 choice = choose_direction(pts, cfg.strategy, rng)
             except DegenerateNodeError:
                 break  # identical points: retrying cannot help
-            values = pts @ choice.direction
+            r = np.ascontiguousarray(choice.direction, dtype=np.float64)
+            values = np.einsum("ij,j->i", pts, r)
             try:
                 c = pick_split_point(values, rng)
             except DegenerateSplitError:
                 continue
             go_left = values < c
-            if go_left.all() or not go_left.any():
+            if np.count_nonzero(go_left) in (0, ids.size):
                 continue
-            left = partition(ids[go_left])
-            right = partition(ids[~go_left])
-            return Internal(direction=choice.direction, split=c, left=left, right=right)
+            directions.append(r)
+            splits.append(c)
+            children.append(None)
+            node = len(splits) - 1
+            children[node] = (partition(ids[go_left]), partition(ids[~go_left]))
+            return node
         return make_leaf(ids)
 
-    root = partition(data.ids)
-    return RpTree(root=root, leaves=leaves, leaf_of=leaf_of, config=cfg)
+    partition(data.ids)
+    return RpTree(
+        directions=np.array(directions).reshape(len(splits), data.d),
+        splits=np.array(splits, dtype=np.float64),
+        children=np.array(children, dtype=np.intp).reshape(len(splits), 2),
+        leaf_offsets=np.concatenate([[0], np.cumsum([m.size for m in members])]),
+        leaf_members=np.concatenate(members),
+        leaf_of=leaf_of,
+        config=cfg,
+    )
 
 
-def traverse_to_leaf(tree: RpTree, x) -> Leaf:
-    """Route a query point root-to-leaf: descend left iff x.r < c."""
-    x = np.asarray(x, dtype=np.float64)
-    node = tree.root
-    while isinstance(node, Internal):
-        if x.shape[0] != node.direction.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: query has d={x.shape[0]}, "
-                f"tree has d={node.direction.shape[0]}"
-            )
-        node = node.left if float(x @ node.direction) < node.split else node.right
-    return node
+def route(directions, splits, children, node_base, points) -> np.ndarray:
+    """(m, T) leaf index of every (point, tree) pair, all pairs descending
+    together one tree level per step. Tree t's internal nodes are rows
+    node_base[t]:node_base[t + 1] of the node arrays; child codes are local."""
+    n_trees = node_base.size - 1
+    code = np.tile(np.where(np.diff(node_base) > 0, 0, -1), points.shape[0])
+    pair = np.flatnonzero(code >= 0)
+    while pair.size:
+        row = node_base[pair % n_trees] + code[pair]
+        proj = np.einsum("ij,ij->i", points[pair // n_trees], directions[row])
+        code[pair] = children[row, (proj >= splits[row]).astype(np.intp)]
+        pair = pair[code[pair] >= 0]
+    return (~code).reshape(points.shape[0], n_trees)
 
 
 def assign_leaves(tree: RpTree, points: np.ndarray) -> np.ndarray:
     """Route a batch of query points; returns the leaf index for each row."""
-    points = np.asarray(points, dtype=np.float64)
-    out = np.empty(points.shape[0], dtype=np.intp)
-
-    def descend(node: Internal | Leaf, rows: np.ndarray) -> None:
-        if rows.size == 0:
-            return
-        if isinstance(node, Leaf):
-            out[rows] = node.index
-            return
-        go_left = points[rows] @ node.direction < node.split
-        descend(node.left, rows[go_left])
-        descend(node.right, rows[~go_left])
-
-    descend(tree.root, np.arange(points.shape[0]))
-    return out
+    points = check_queries(points, tree.directions.shape[1])
+    base = np.array([0, tree.splits.size])
+    return route(tree.directions, tree.splits, tree.children, base, points)[:, 0]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import rpforest.cli
 from rpforest.cli import (
     ConfigError,
     ExperimentConfig,
@@ -243,3 +244,34 @@ class TestMain:
         assert code == 0
         captured = capsys.readouterr().out
         assert "T,k,method,statistic,p_value" in captured
+
+
+class TestFailFast:
+    BLOBS = "blobs:n=10,d=2,centers=2,sigma=0.5,seed=1"
+
+    @pytest.mark.parametrize(
+        "csv_text, flags, code",
+        [
+            (None, ["--dataset", BLOBS, "--k", "10"], 1),  # k > n - 1
+            ("1,2,0\n3,4,1\n5,6,0\n", ["--label-column", "3"], 1),
+            ("1,2\n3,x\n", [], 1),  # non-numeric cell
+            ("1,2\n3\n", [], 1),  # ragged row
+            ("1,nan\n3,4\n", [], 1),  # non-finite value
+            (None, ["--dataset", "no_such_file.csv"], 2),
+            (None, ["--dataset", BLOBS, "--out", "no_such_dir/r.csv"], 2),
+        ],
+    )
+    def test_bad_input_gives_one_error_line(self, tmp_path, monkeypatch, capsys, csv_text, flags, code):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started before validation finished")
+
+        monkeypatch.setattr(rpforest.cli, "all_true_neighbors", must_not_run)
+        monkeypatch.setattr(rpforest.cli, "build_forest", must_not_run)
+        monkeypatch.chdir(tmp_path)
+        argv = ["--trees", "1", "--reps", "1", "--k", "3", "--out", "r.csv"]
+        if csv_text is not None:
+            (tmp_path / "d.csv").write_text(csv_text)
+            argv += ["--dataset", "d.csv"]
+        assert main(argv + flags) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err

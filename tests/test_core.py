@@ -105,6 +105,15 @@ class TestDispersion:
         var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
         assert abs(dispersion(values) - var**0.5) < 1e-10
 
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=2, max_size=300),
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    )
+    def test_bit_identical_to_numpy_std(self, values, offset):
+        v = np.asarray(values) + offset
+        assert dispersion(v) == float(np.std(v, ddof=1))
+
     def test_translation_invariant(self):
         values = np.random.default_rng(4).normal(size=30)
         assert dispersion(values + 17.5) == pytest.approx(dispersion(values), abs=1e-9)

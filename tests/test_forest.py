@@ -4,7 +4,6 @@ import pytest
 from rpforest.core import Dataset
 from rpforest.forest import (
     build_forest,
-    candidate_ids,
     query_all_training,
     query_batch,
     query_knn,
@@ -109,6 +108,29 @@ class TestQueryKnn:
         np.testing.assert_allclose(found.distances, expected, atol=1e-12)
 
 
+class TestQueryValidation:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda f: query_knn(f, [1.0, 2.0, 3.0], 3), "dimension mismatch"),
+            (lambda f: query_knn(f, [np.nan, 0.0], 3), "NaN or Inf"),
+            (lambda f: query_batch(f, np.zeros((4, 3)), 3), "dimension mismatch"),
+            (lambda f: query_batch(f, np.zeros(2), 3), "dimension mismatch"),
+            (lambda f: query_batch(f, [[0.0, np.inf]], 3), "NaN or Inf"),
+            (lambda f: query_batch(f, np.zeros((4, 2)), 3, self_ids=[0, 1]), "self_ids"),
+        ],
+    )
+    def test_bad_queries_rejected(self, call, message):
+        forest = build_forest(random_dataset(14, n=50), TreeConfig(), 2, master_seed=17)
+        with pytest.raises(ValueError, match=message):
+            call(forest)
+
+
+def candidate_ids(forest, q):
+    # with k = n every pooled candidate comes back
+    return query_knn(forest, q, forest.data.n).ids
+
+
 class TestMonotoneCandidates:
     def test_candidate_pool_grows_with_trees(self):
         ds = random_dataset(10)
@@ -161,3 +183,11 @@ class TestQueryBatch:
         for q, row in zip(queries, batched):
             single = query_knn(forest, q, 4)
             np.testing.assert_array_equal(row.ids, single.ids)
+
+    def test_empty_batch_and_huge_k(self):
+        ds = random_dataset(18)
+        forest = build_forest(ds, TreeConfig(), 3, master_seed=19)
+        assert query_batch(forest, np.empty((0, 2)), 4) == []
+        # k beyond the pool returns the whole pool without sizing anything by k
+        found = query_knn(forest, ds.points[0], 10**12, self_id=0)
+        assert 0 < len(found) < ds.n

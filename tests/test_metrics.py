@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rpforest.forest import NeighborList
-from rpforest.metrics import distance_error, missing_rate, time_run
+from rpforest.metrics import distance_error, missing_rate
 
 
 def row(ids, distances=None):
@@ -101,18 +101,3 @@ class TestDistanceError:
             d_bar, _ = distance_error(truth, found, 5)
             assert d_bar >= -1e-15
 
-
-class TestTimeRun:
-    def test_times_nonnegative_and_results_passed_through(self):
-        (build_s, query_s), (br, qr) = time_run(lambda: "built", lambda: "queried")
-        assert build_s >= 0 and query_s >= 0
-        assert br == "built" and qr == "queried"
-
-    def test_slower_action_measured_larger(self):
-        import time
-
-        def slow():
-            time.sleep(0.05)
-
-        (build_s, query_s), _ = time_run(slow, lambda: None)
-        assert build_s > query_s

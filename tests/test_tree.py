@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
+import reference
 from rpforest.core import Dataset
 from rpforest.strategies import Method, StrategyConfig
 from rpforest.tree import (
     DegenerateSplitError,
     Internal,
     Leaf,
+    RpTree,
     TreeConfig,
     assign_leaves,
     build_tree,
     pick_split_point,
     split_at_quantile,
-    traverse_to_leaf,
 )
 
 
@@ -138,38 +139,43 @@ class TestTraverse:
     def test_self_routing(self):
         ds = random_dataset(5)
         tree = build_tree(ds, TreeConfig(), np.random.default_rng(10))
+        routed = assign_leaves(tree, ds.points)
+        np.testing.assert_array_equal(routed, tree.leaf_of)
         for i in range(0, ds.n, 37):
-            leaf = traverse_to_leaf(tree, ds.points[i])
-            assert i in leaf.member_ids
-            assert leaf.index == tree.leaf_of[i]
+            assert i in tree.leaves[routed[i]].member_ids
 
     def test_single_leaf_tree(self):
         ds = random_dataset(6, n=5)
         tree = build_tree(ds, TreeConfig(leaf_capacity=20), np.random.default_rng(11))
-        leaf = traverse_to_leaf(tree, np.array([100.0, -50.0]))
-        assert leaf is tree.root
+        assert isinstance(tree.root, Leaf)
+        np.testing.assert_array_equal(assign_leaves(tree, np.array([[100.0, -50.0]])), [0])
 
     def test_handcrafted_routing(self):
-        left = Leaf(member_ids=np.array([0]), index=0)
-        right = Leaf(member_ids=np.array([1]), index=1)
-        root = Internal(direction=np.array([1.0, 0.0]), split=0.0, left=left, right=right)
-        from rpforest.tree import RpTree
-
-        tree = RpTree(root=root, leaves=[left, right], leaf_of=np.array([0, 1]), config=TreeConfig())
-        assert traverse_to_leaf(tree, np.array([-1.0, 5.0])) is left
-        assert traverse_to_leaf(tree, np.array([2.0, -9.0])) is right
-        assert traverse_to_leaf(tree, np.array([0.0, 0.0])) is right  # x.r == c goes right
+        # root splits on x[0] at 0: leaf 0 holds point 0, leaf 1 holds point 1
+        tree = RpTree(
+            directions=np.array([[1.0, 0.0]]),
+            splits=np.array([0.0]),
+            children=np.array([[~0, ~1]]),
+            leaf_offsets=np.array([0, 1, 2]),
+            leaf_members=np.array([0, 1]),
+            leaf_of=np.array([0, 1]),
+            config=TreeConfig(),
+        )
+        queries = np.array([[-1.0, 5.0], [2.0, -9.0], [0.0, 0.0]])
+        # x.r == c goes right
+        np.testing.assert_array_equal(assign_leaves(tree, queries), [0, 1, 1])
+        assert tree.root.left.member_ids.tolist() == [0]
+        assert tree.root.right.member_ids.tolist() == [1]
 
     def test_dimension_mismatch(self):
         ds = random_dataset(7)
         tree = build_tree(ds, TreeConfig(), np.random.default_rng(12))
-        with pytest.raises(ValueError):
-            traverse_to_leaf(tree, np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            assign_leaves(tree, np.array([[1.0, 2.0, 3.0]]))
 
     def test_assign_leaves_matches_traverse(self):
+        # the batched router agrees with the node-by-node reference descent
         ds = random_dataset(8)
         tree = build_tree(ds, TreeConfig(), np.random.default_rng(13))
         queries = np.random.default_rng(14).uniform(size=(50, 2))
-        batched = assign_leaves(tree, queries)
-        for q, leaf_idx in zip(queries, batched):
-            assert traverse_to_leaf(tree, q).index == leaf_idx
+        np.testing.assert_array_equal(assign_leaves(tree, queries), reference.route_recursive(tree, queries))
