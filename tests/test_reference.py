@@ -1,21 +1,26 @@
-"""Property tests: the batched query kernel against the reference in reference.py."""
+"""Property tests: the level-synchronous build's invariants, and the batched
+query kernel and the metrics against the references in reference.py."""
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+import rpforest.forest
 from rpforest.core import Dataset
-from rpforest.forest import build_forest, query_all_training, query_batch, query_knn
+from rpforest.forest import NeighborList, build_forest, query_all_training, query_batch, query_knn
+from rpforest.metrics import distance_error, missing_rate
 from rpforest.strategies import Method, StrategyConfig
-from rpforest.tree import TreeConfig, assign_leaves
+from rpforest.tree import Leaf, TreeConfig, assign_leaves, build_tree
 
 
 @st.composite
 def forests(draw):
     """Small forests over continuous, integer-grid (exact distance ties) or
     duplicate-heavy (forced leaves) data; some capacities exceed n, so the
-    whole forest is one leaf per tree."""
+    whole forest is one leaf per tree. Returns (forest, queries, k, kind)."""
     n = draw(st.integers(2, 50))
     d = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["continuous", "grid", "duplicates"]))
@@ -32,7 +37,7 @@ def forests(draw):
     cfg = TreeConfig(leaf_capacity=capacity, strategy=StrategyConfig(method=method))
     forest = build_forest(Dataset.from_points(points), cfg, draw(st.integers(1, 5)), int(rng.integers(2**32)))
     queries = np.concatenate([points[: draw(st.integers(0, n))], rng.integers(-3, 4, size=(draw(st.integers(1, 6)), d))])
-    return forest, queries.astype(np.float64), draw(st.integers(1, n + 2))
+    return forest, queries.astype(np.float64), draw(st.integers(1, n + 2)), kind
 
 
 def assert_same_rows(found, expected):
@@ -45,7 +50,7 @@ def assert_same_rows(found, expected):
 @settings(max_examples=150, deadline=None)
 @given(forests())
 def test_query_paths_match_reference(case):
-    forest, queries, k = case
+    forest, queries, k, _ = case
     assert_same_rows(query_all_training(forest, k), reference.query_all_training(forest, k))
     expected = reference.query(forest, queries, k)
     assert_same_rows(query_batch(forest, queries, k), expected)
@@ -60,7 +65,100 @@ def test_query_paths_match_reference(case):
 @settings(max_examples=150, deadline=None)
 @given(forests())
 def test_assign_leaves_routes_training_points_home(case):
-    forest, queries, _ = case
+    forest, queries, _, _ = case
     for tree in forest.trees:
         np.testing.assert_array_equal(assign_leaves(tree, forest.data.points), tree.leaf_of)
         np.testing.assert_array_equal(assign_leaves(tree, queries), reference.route_recursive(tree, queries))
+
+
+def interpolated_quantile(values, u):
+    """The build's u-quantile: a + frac * (b - a) between neighbouring order statistics."""
+    v = np.sort(values)
+    pos = u * (v.size - 1)
+    lo = min(int(pos), v.size - 2)
+    return v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
+
+
+def check_node(node, points, capacity, continuous):
+    """Member ids under node, left to right; asserts the split and leaf rules."""
+    if isinstance(node, Leaf):
+        ids = node.member_ids
+        assert np.all(np.diff(ids) > 0), "leaf members ascending"
+        # only a leaf whose node could not be split is allowed to be this large
+        assert ids.size < capacity or not continuous
+        return [node.index], ids
+    left_leaves, left = check_node(node.left, points, capacity, continuous)
+    right_leaves, right = check_node(node.right, points, capacity, continuous)
+    assert left.size and right.size
+    r = node.direction
+    proj = lambda ids: np.einsum("ij,ij->i", points[ids], np.broadcast_to(r, (ids.size, r.size)))
+    assert np.all(proj(left) < node.split) and np.all(proj(right) >= node.split)
+    values = proj(np.concatenate([left, right]))
+    slack = 1e-12 * (1.0 + np.abs(values).max())
+    assert interpolated_quantile(values, 0.25) - slack <= node.split <= interpolated_quantile(values, 0.75) + slack
+    return left_leaves + right_leaves, np.concatenate([left, right])
+
+
+@settings(max_examples=150, deadline=None)
+@given(forests())
+def test_build_invariants(case):
+    forest, _, _, kind = case
+    data, capacity = forest.data, forest.tree_config.leaf_capacity
+    for tree in forest.trees:
+        order, ids = check_node(tree.root, data.points, capacity, kind == "continuous")
+        assert order == list(range(len(tree.leaves))), "leaves numbered left to right"
+        np.testing.assert_array_equal(np.sort(ids), data.ids)
+        np.testing.assert_array_equal(assign_leaves(tree, data.points), tree.leaf_of)
+
+
+@settings(max_examples=60, deadline=None)
+@given(forests(), st.integers(1, 3))
+def test_build_groups_equal_single_trees(case, group):
+    """Trees built in groups of `group` equal the trees built one at a time."""
+    forest = case[0]
+    data, cfg = forest.data, forest.tree_config
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(forest.master_seed).spawn(len(forest.trees))]
+    with mock.patch.object(rpforest.forest, "BUILD_BYTES", group * 8 * data.n * data.d):
+        grouped = build_forest(data, cfg, len(forest.trees), forest.master_seed)
+
+    def arrays(tree):  # a forest's trees view its shared leaf CSR
+        lo, hi = tree.leaf_offsets[[0, -1]]
+        members = tree.leaf_members[lo:hi]
+        return tree.directions, tree.splits, tree.children, tree.leaf_offsets - lo, members, tree.leaf_of
+
+    for a, b, rng in zip(forest.trees, grouped.trees, rngs):
+        single = arrays(build_tree(data, cfg, rng))
+        for x, y, z in zip(arrays(a), arrays(b), single):
+            np.testing.assert_array_equal(x, z)
+            np.testing.assert_array_equal(y, z)
+
+
+@st.composite
+def tables(draw):
+    """A truth table (k distinct ids per row, ascending distances) and a found
+    table of 0..k distinct ids per row, some shared with the truth."""
+    n, k = draw(st.integers(1, 30)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_ids = k + draw(st.integers(0, 10))
+    truth, found = [], []
+    for _ in range(n):
+        ids = rng.permutation(n_ids)
+        truth.append(NeighborList(ids=ids[:k], distances=np.sort(rng.uniform(size=k))))
+        size = int(rng.integers(0, k + 1))
+        pick = rng.choice(n_ids, size=size, replace=False)
+        found.append(NeighborList(ids=pick, distances=np.sort(rng.uniform(size=size))))
+    return truth, found, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+def test_metrics_match_reference(case):
+    truth, found, k = case
+    m_bar, missed = missing_rate(truth, found, k)
+    ref_bar, ref_missed = reference.missing_rate(truth, found, k)
+    assert m_bar == ref_bar
+    np.testing.assert_array_equal(missed, ref_missed)
+    d_bar, excluded = distance_error(truth, found, k)
+    ref_d, ref_excluded = reference.distance_error(truth, found, k)
+    assert excluded == ref_excluded
+    assert d_bar == ref_d or (np.isnan(d_bar) and np.isnan(ref_d))

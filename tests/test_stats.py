@@ -39,8 +39,12 @@ class TestValidation:
             two_sample_ttest([1.0], [1.0, 2.0])
 
     def test_zero_variance_different_means(self):
-        with pytest.raises(ValueError):
-            two_sample_ttest([1.0, 1.0], [2.0, 2.0])
+        # both samples constant: the limit of the test, not an error
+        for equal_var in (True, False):
+            below = two_sample_ttest([1.0, 1.0], [2.0, 2.0, 2.0], equal_var=equal_var)
+            above = two_sample_ttest([2.0, 2.0, 2.0], [1.0, 1.0], equal_var=equal_var)
+            assert (below.statistic, below.p_value, below.identical_means) == (-np.inf, 0.0, False)
+            assert (above.statistic, above.p_value) == (np.inf, 0.0)
 
 
 class TestTTest:

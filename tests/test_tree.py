@@ -5,15 +5,13 @@ import reference
 from rpforest.core import Dataset
 from rpforest.strategies import Method, StrategyConfig
 from rpforest.tree import (
-    DegenerateSplitError,
     Internal,
     Leaf,
     RpTree,
     TreeConfig,
     assign_leaves,
     build_tree,
-    pick_split_point,
-    split_at_quantile,
+    split_segments,
 )
 
 
@@ -27,36 +25,46 @@ def random_dataset(seed, n=1000, d=2):
     return Dataset.from_points(np.random.default_rng(seed).uniform(size=(n, d)))
 
 
+def split_point(values, u):
+    """split_segments on one segment: its split value."""
+    values = np.asarray(values, dtype=np.float64)
+    return split_segments(values, np.array([values.size]), np.array([u]))[1][0]
+
+
 class TestPickSplitPoint:
     def test_within_interquartile_range(self):
         values = np.arange(101.0)
         rng = np.random.default_rng(0)
         for _ in range(100):
-            c = pick_split_point(values, rng)
+            c = split_point(values, rng.uniform(0.25, 0.75))
             assert 25.0 <= c <= 75.0
 
     def test_all_equal_is_degenerate(self):
-        with pytest.raises(DegenerateSplitError):
-            pick_split_point(np.full(10, 7.0), np.random.default_rng(1))
+        # no value lies below the split: the left side is empty
+        _, c, n_left = split_segments(np.full(10, 7.0), np.array([10]), np.array([0.4]))
+        assert c[0] == 7.0 and n_left[0] == 0
 
     def test_too_few_values(self):
         with pytest.raises(ValueError):
-            pick_split_point(np.array([1.0]), np.random.default_rng(2))
+            split_segments(np.array([1.0, 2.0, 3.0]), np.array([2, 1]), np.array([0.5, 0.5]))
 
     def test_median_interpolation(self):
         # {0,1,2,3} at u=0.5 interpolates to 1.5
-        assert split_at_quantile(np.array([0.0, 1.0, 2.0, 3.0]), 0.5) == 1.5
+        assert split_point([0.0, 1.0, 2.0, 3.0], 0.5) == 1.5
 
     def test_matches_numpy_quantile_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(300):
             v = rng.normal(size=rng.integers(2, 60))
             u = rng.uniform(0.25, 0.75)
-            assert split_at_quantile(v, u) == pytest.approx(np.quantile(v, u), abs=1e-12)
+            assert split_point(v, u) == pytest.approx(np.quantile(v, u), abs=1e-12)
 
     def test_unsorted_input(self):
-        v = np.array([3.0, 0.0, 2.0, 1.0])
-        assert split_at_quantile(v, 0.5) == 1.5
+        # several segments at once: each is sorted in place, left part first
+        values = np.array([3.0, 0.0, 2.0, 1.0, 9.0, 5.0, 7.0])
+        order, c, n_left = split_segments(values, np.array([4, 3]), np.array([0.5, 0.5]))
+        assert values[order].tolist() == [0.0, 1.0, 2.0, 3.0, 5.0, 7.0, 9.0]
+        assert c.tolist() == [1.5, 7.0] and n_left.tolist() == [2, 1]
 
 
 class TestBuildTree:
