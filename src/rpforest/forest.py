@@ -16,7 +16,9 @@ from .core import Dataset, check_queries
 from .tree import RpTree, TreeConfig, build_tree, build_trees, route  # noqa: F401
 
 POOL_BYTES = 16 << 20  # working-set budget of one chunk of queries
-BUILD_BYTES = 4 << 20  # budget of the points one group of trees gathers per level; larger groups fall out of cache
+# budget of the points one group of trees gathers per level: a group shares
+# each level's numpy calls among its trees; larger groups fall out of cache
+BUILD_BYTES = 4 << 20
 
 
 @dataclass

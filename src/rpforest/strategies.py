@@ -56,15 +56,6 @@ class DirectionChoice:
     stage_dispersions: tuple[float, ...] = field(default_factory=tuple)
 
 
-def segment_dispersion(values: np.ndarray, seg: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Sample standard deviation (divisor m - 1; 0 for one value) of each
-    segment; seg[i] is the segment of values[i]. Each segment is summed in
-    its own order, so its result does not depend on the other segments."""
-    mean = np.bincount(seg, weights=values, minlength=sizes.size) / sizes
-    centred = values - mean[seg]
-    return np.sqrt(np.bincount(seg, weights=centred * centred, minlength=sizes.size) / np.maximum(sizes - 1, 1))
-
-
 def principal_components(points: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """(m, d) first principal component of each segment of points, from one
     stacked eigh over the (m, d, d) covariances; the first component above
@@ -107,7 +98,7 @@ def choose_directions(points: np.ndarray, sizes: np.ndarray, cfg: StrategyConfig
 
     def score(r):
         values = np.einsum("ij,ij->i", points, np.take(r, seg, axis=0, out=rows, mode="clip"))
-        return segment_dispersion(values, seg, sizes)
+        return dispersion(values, seg)
 
     # greedy over candidates in draw order: a candidate replaces the incumbent
     # only when it strictly improves dispersion, so ties go to the earliest

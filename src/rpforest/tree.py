@@ -89,6 +89,8 @@ def split_segments(values: np.ndarray, sizes: np.ndarray, u: np.ndarray):
         # ties: a stable sort keeps them in their segment's own order
         order = np.lexsort((values, seg))
     else:
+        # no ties: the order is unique, and an unstable sort followed by a
+        # radix sort by segment is about twice as fast as lexsort
         order = order[np.argsort(seg[order].astype(np.min_scalar_type(sizes.size)), kind="stable")]
     ordered = values[order]
     first = np.cumsum(sizes) - sizes

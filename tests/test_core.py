@@ -124,6 +124,18 @@ class TestDispersion:
         values = np.linspace(-1, 2, 20)
         assert dispersion(alpha * values) == pytest.approx(abs(alpha) * dispersion(values), abs=1e-7)
 
+    @settings(max_examples=100)
+    @given(st.lists(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=30), min_size=1, max_size=8))
+    def test_groups_match_one_group_at_a_time(self, groups):
+        values = np.concatenate([np.asarray(g, dtype=np.float64) for g in groups])
+        seg = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+        spread = dispersion(values, seg)
+        assert spread.shape == (len(groups),)
+        for i, g in enumerate(groups):
+            # a group's result does not depend on the others
+            assert spread[i] == dispersion(values[seg == i], np.zeros(len(g), dtype=np.intp))[0]
+            assert spread[i] == pytest.approx(dispersion(g), rel=1e-9, abs=1e-6)
+
 
 class TestRandomUnitDirection:
     def test_1d_is_sign(self):
