@@ -2,17 +2,16 @@
 split-direction strategies, an exact brute-force oracle, and a benchmark CLI.
 """
 
-from .core import Dataset, dispersion, euclidean_distance, project, random_unit_direction
+from .core import Dataset, dispersion, euclidean_distance, random_unit_direction
 from .forest import NeighborList, RpForest, build_forest, query_batch, query_knn, query_all_training
 from .metrics import distance_error, missing_rate
 from .oracle import all_true_neighbors, exact_knn
 from .stats import TTestResult, two_sample_ttest
-from .strategies import DirectionChoice, Method, StrategyConfig
+from .strategies import Method, StrategyConfig
 from .tree import RpTree, TreeConfig, assign_leaves, build_tree
 
 __all__ = [
     "Dataset",
-    "DirectionChoice",
     "Method",
     "NeighborList",
     "RpForest",
@@ -29,7 +28,6 @@ __all__ = [
     "euclidean_distance",
     "exact_knn",
     "missing_rate",
-    "project",
     "query_batch",
     "query_knn",
     "query_all_training",

@@ -20,7 +20,7 @@ from .forest import build_forest, query_all_training
 from .metrics import distance_error, missing_rate
 from .oracle import all_true_neighbors
 from .stats import two_sample_ttest
-from .strategies import Method, StrategyConfig
+from .strategies import StrategyConfig
 from .tree import TreeConfig
 
 RESULT_COLUMNS = (
@@ -55,8 +55,11 @@ class ExperimentConfig:
     master_seed: int = 0
     include_timings: bool = True
 
-    def validate(self, n: int | None = None) -> None:
-        """Raise ConfigError for an invalid grid; with n, also check k against it."""
+    def validate(self, n: int | None = None) -> dict[int, TreeConfig]:
+        """Raise ConfigError for an invalid grid; with n, also check k against it.
+
+        Returns the tree configuration of every method of the grid.
+        """
         if not self.methods or any(m not in (1, 2, 3, 4) for m in self.methods):
             raise ConfigError(f"methods must be a non-empty subset of 1..4, got {self.methods}")
         if not self.forest_sizes or any(t < 1 for t in self.forest_sizes):
@@ -72,6 +75,16 @@ class ExperimentConfig:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         if n is not None and max(self.k_values) > n - 1:
             raise ConfigError(f"max k ({max(self.k_values)}) must be at most n - 1 ({n - 1})")
+        try:
+            return {
+                method: TreeConfig(
+                    leaf_capacity=self.leaf_capacity,
+                    strategy=StrategyConfig(method=method, n_try=self.n_try, noise_sigmas=self.noise_sigmas),
+                )
+                for method in self.methods
+            }
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def effective_repetitions(self, n: int) -> int:
         if self.repetitions is not None:
@@ -125,7 +138,7 @@ def run_experiment_grid(data: Dataset, cfg: ExperimentConfig) -> list[dict]:
     (c, r) under the master seed, so reruns are bit-identical and cells are
     independent.
     """
-    cfg.validate(data.n)
+    tree_configs = cfg.validate(data.n)
     reps = cfg.effective_repetitions(data.n)
     truth = {k: all_true_neighbors(data, k) for k in cfg.k_values}
     cells = [
@@ -136,17 +149,11 @@ def run_experiment_grid(data: Dataset, cfg: ExperimentConfig) -> list[dict]:
     ]
     rows = []
     for cell_index, (method, n_trees, k) in enumerate(cells):
-        tree_cfg = TreeConfig(
-            leaf_capacity=cfg.leaf_capacity,
-            strategy=StrategyConfig(
-                method=Method(method), n_try=cfg.n_try, noise_sigmas=cfg.noise_sigmas
-            ),
-        )
         for rep in range(reps):
             ss = np.random.SeedSequence(cfg.master_seed, spawn_key=(cell_index, rep))
             seed_id = int(ss.generate_state(1)[0])
             t0 = time.perf_counter()
-            forest = build_forest(data, tree_cfg, n_trees, ss)
+            forest = build_forest(data, tree_configs[method], n_trees, ss)
             t1 = time.perf_counter()
             found = query_all_training(forest, k)
             t2 = time.perf_counter()
@@ -296,30 +303,26 @@ def main(argv=None) -> int:
             include_timings=not args.no_timings,
         )
         cfg.validate(data.n)
+        reps = cfg.effective_repetitions(data.n)
+        ttest = args.ttest_threshold is not None and max(cfg.forest_sizes) > args.ttest_threshold
+        if ttest and reps < 2 and 1 in cfg.methods and {2, 3, 4} & set(cfg.methods):
+            # run_ttest_report would compare cells of fewer than 2 samples
+            raise ConfigError(f"the t-test needs >= 2 repetitions per cell, got {reps}")
         out_dir = Path(args.out).resolve().parent
         if not out_dir.is_dir():
             raise FileNotFoundError(f"output directory does not exist: {out_dir}")
-    except (ConfigError, CsvFormatError, ValueError, json.JSONDecodeError, OSError) as exc:
+
+        rows = run_experiment_grid(data, cfg)
+        write_results_csv(rows, args.out)
+        print(f"wrote {len(rows)} rows to {args.out}")
+        if args.ttest_threshold is not None:
+            report = run_ttest_report(rows, args.ttest_threshold)
+            print("T,k,method,statistic,p_value")
+            for row in report:
+                print(f"{row['T']},{row['k']},{row['method']},{row['statistic']},{row['p_value']}")
+    except (ConfigError, CsvFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, OSError) else 1
-
-    rows = run_experiment_grid(data, cfg)
-    try:
-        write_results_csv(rows, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"wrote {len(rows)} rows to {args.out}")
-
-    if args.ttest_threshold is not None:
-        try:
-            report = run_ttest_report(rows, args.ttest_threshold)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print("T,k,method,statistic,p_value")
-        for row in report:
-            print(f"{row['T']},{row['k']},{row['method']},{row['statistic']},{row['p_value']}")
     return 0
 
 

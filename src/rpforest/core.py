@@ -43,17 +43,6 @@ def check_queries(queries, d: int) -> np.ndarray:
     return q
 
 
-def project(points, direction) -> np.ndarray:
-    """Project points onto a direction: one dot product per point."""
-    pts = np.asarray(points, dtype=np.float64)
-    r = np.asarray(direction, dtype=np.float64)
-    if pts.shape[-1] != r.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: points have d={pts.shape[-1]}, direction has d={r.shape[0]}"
-        )
-    return pts @ r
-
-
 def euclidean_distance(a, b) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -275,6 +275,10 @@ class TestFailFast:
             ("1,nan\n3,4\n", [], 1),  # non-finite value
             (None, ["--dataset", "no_such_file.csv"], 2),
             (None, ["--dataset", BLOBS, "--out", "no_such_dir/r.csv"], 2),
+            (None, ["--dataset", BLOBS, "--ntry", "0"], 1),
+            (None, ["--dataset", BLOBS, "--noise-sigmas", "0.01", "0.1"], 1),  # not decreasing
+            (None, ["--dataset", BLOBS, "--noise-sigmas", "-1"], 1),
+            (None, ["--dataset", BLOBS, "--ttest-threshold", "0"], 1),  # one repetition per cell
         ],
     )
     def test_bad_input_gives_one_error_line(self, tmp_path, monkeypatch, capsys, csv_text, flags, code):

@@ -7,7 +7,6 @@ from rpforest.core import (
     Dataset,
     dispersion,
     euclidean_distance,
-    project,
     random_unit_direction,
 )
 
@@ -25,36 +24,6 @@ class TestDataset:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Dataset.from_points(np.empty((0, 3)))
-
-
-class TestProject:
-    def test_axis_projections(self):
-        assert project([3.0, 4.0], [1.0, 0.0]) == 3.0
-        assert project([3.0, 4.0], [0.0, 1.0]) == 4.0
-
-    def test_diagonal_direction(self):
-        # hand-evaluated dot products, cross-checked against a scalar loop
-        pts = np.array([[1.0, 1.0], [2.0, 2.0]])
-        r = np.array([1.0, 1.0]) / np.sqrt(2)
-        values = project(pts, r)
-        expected = [sum(p[j] * r[j] for j in range(2)) for p in pts]
-        np.testing.assert_allclose(values, expected, atol=1e-12)
-        np.testing.assert_allclose(values, [np.sqrt(2), 2 * np.sqrt(2)], atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            project([1.0, 2.0], [1.0, 0.0, 0.0])
-
-    def test_preserves_order(self):
-        pts = np.random.default_rng(0).normal(size=(10, 3))
-        r = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(project(pts, r), pts[:, 0])
-
-    @given(st.floats(min_value=-10, max_value=10, allow_nan=False))
-    def test_linearity_in_direction(self, alpha):
-        pts = np.arange(12.0).reshape(4, 3)
-        r = np.array([0.5, -0.5, 1.0])
-        np.testing.assert_allclose(project(pts, alpha * r), alpha * project(pts, r), atol=1e-9)
 
 
 class TestEuclideanDistance:

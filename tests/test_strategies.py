@@ -2,17 +2,11 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from rpforest.core import dispersion, project
-from rpforest.strategies import (
-    DegenerateNodeError,
-    Method,
-    StrategyConfig,
-    choose_direction,
-    choose_direction_method1,
-    choose_direction_method2,
-    choose_direction_method3,
-    choose_direction_method4,
-)
+from rpforest.core import dispersion
+from rpforest.strategies import Method, StrategyConfig, choose_directions
+
+METHOD1 = StrategyConfig(method=Method.RANDOM_DIRECTION)
+METHOD4 = StrategyConfig(method=Method.PRINCIPAL_COMPONENT)
 
 
 def anisotropic_points(rng, n=60, sx=10.0, sy=1.0):
@@ -20,6 +14,11 @@ def anisotropic_points(rng, n=60, sx=10.0, sy=1.0):
     pts[:, 0] *= sx
     pts[:, 1] *= sy
     return pts
+
+
+def one_node(pts):
+    """The sizes argument for a level of one node holding every row of pts."""
+    return np.array([len(pts)])
 
 
 class TestStrategyConfig:
@@ -37,31 +36,36 @@ class TestStrategyConfig:
         with pytest.raises(ValueError):
             StrategyConfig(noise_sigmas=(0.1, -0.5))
 
+    def test_rejects_unknown_method(self):
+        assert StrategyConfig(method=2).method is Method.MAX_DISPERSION
+        with pytest.raises(ValueError):
+            StrategyConfig(method=7)
+
 
 class TestMethod1:
     def test_deterministic_under_seed(self):
         pts = np.random.default_rng(0).normal(size=(30, 3))
-        a = choose_direction_method1(pts, np.random.default_rng(11))
-        b = choose_direction_method1(pts, np.random.default_rng(11))
-        np.testing.assert_array_equal(a.direction, b.direction)
+        a, _ = choose_directions(pts, one_node(pts), METHOD1, [np.random.default_rng(11)], [1])
+        b, _ = choose_directions(pts, one_node(pts), METHOD1, [np.random.default_rng(11)], [1])
+        np.testing.assert_array_equal(a, b)
 
     def test_candidates_evaluated(self):
+        # one candidate per node: the generator advances by one d-vector draw
         pts = np.random.default_rng(1).normal(size=(10, 2))
-        assert choose_direction_method1(pts, np.random.default_rng(0)).candidates_evaluated == 1
-
-    def test_dispersion_is_recomputable(self):
-        pts = np.random.default_rng(2).normal(size=(25, 4))
-        choice = choose_direction_method1(pts, np.random.default_rng(3))
-        assert choice.dispersion == pytest.approx(
-            dispersion(project(pts, choice.direction)), abs=1e-12
-        )
+        rng, replay = np.random.default_rng(0), np.random.default_rng(0)
+        _, stages = choose_directions(pts, one_node(pts), METHOD1, [rng], [1])
+        replay.standard_normal((1, 2))
+        assert stages.shape == (1, 0) and rng.random() == replay.random()
 
     def test_angles_uniform_on_circle(self):
         # chi-square over 40 angular bins on 1e4 draws, reject only at p < 0.001
         pts = np.random.default_rng(4).normal(size=(10, 2))
         rng = np.random.default_rng(5)
         angles = np.array(
-            [np.arctan2(*choose_direction_method1(pts, rng).direction[::-1]) for _ in range(10_000)]
+            [
+                np.arctan2(*choose_directions(pts, one_node(pts), METHOD1, [rng], [1])[0][0, ::-1])
+                for _ in range(10_000)
+            ]
         )
         counts, _ = np.histogram(angles, bins=40, range=(-np.pi, np.pi))
         expected = len(angles) / 40
@@ -74,20 +78,20 @@ class TestMethod2:
     def test_ntry_1_matches_method1(self):
         pts = np.random.default_rng(6).normal(size=(20, 3))
         cfg = StrategyConfig(method=Method.MAX_DISPERSION, n_try=1)
-        a = choose_direction_method1(pts, np.random.default_rng(21))
-        b = choose_direction_method2(pts, cfg, np.random.default_rng(21))
-        np.testing.assert_array_equal(a.direction, b.direction)
+        a, _ = choose_directions(pts, one_node(pts), METHOD1, [np.random.default_rng(21)], [1])
+        b, _ = choose_directions(pts, one_node(pts), cfg, [np.random.default_rng(21)], [1])
+        np.testing.assert_array_equal(a, b)
 
     def test_returns_argmax_over_candidates(self):
         # replay the same stream: the winner must dominate every candidate
         pts = np.random.default_rng(7).normal(size=(40, 5))
         cfg = StrategyConfig(method=Method.MAX_DISPERSION, n_try=5)
-        choice = choose_direction_method2(pts, cfg, np.random.default_rng(22))
+        r, stages = choose_directions(pts, one_node(pts), cfg, [np.random.default_rng(22)], [1])
+        assert stages[0, -1] == pytest.approx(dispersion(pts @ r[0]), abs=1e-12)
         replay = np.random.default_rng(22)
         for _ in range(cfg.n_try):
-            cand = choose_direction_method1(pts, replay)
-            assert choice.dispersion >= cand.dispersion - 1e-12
-        assert choice.candidates_evaluated == 5
+            cand, _ = choose_directions(pts, one_node(pts), METHOD1, [replay], [1])
+            assert stages[0, -1] >= dispersion(pts @ cand[0]) - 1e-12
 
     def test_prefers_high_variance_axis(self):
         # anisotropic node: method 2 aligns with the long axis more than method 1
@@ -96,8 +100,8 @@ class TestMethod2:
         align1, align2 = [], []
         for _ in range(1000):
             pts = anisotropic_points(rng)
-            align1.append(abs(choose_direction_method1(pts, rng).direction[0]))
-            align2.append(abs(choose_direction_method2(pts, cfg, rng).direction[0]))
+            align1.append(abs(choose_directions(pts, one_node(pts), METHOD1, [rng], [1])[0][0, 0]))
+            align2.append(abs(choose_directions(pts, one_node(pts), cfg, [rng], [1])[0][0, 0]))
         assert np.mean(align2) > np.mean(align1)
 
 
@@ -107,51 +111,55 @@ class TestMethod3:
         cfg = StrategyConfig(method=Method.NOISE_TUNED_DISPERSION)
         for _ in range(50):
             pts = rng.normal(size=(30, 3))
-            choice = choose_direction_method3(pts, cfg, rng)
-            stages = choice.stage_dispersions
+            stages = choose_directions(pts, one_node(pts), cfg, [rng], [1])[1][0]
             assert len(stages) == 1 + len(cfg.noise_sigmas)
             assert all(a <= b + 1e-15 for a, b in zip(stages, stages[1:]))
-            assert choice.dispersion == stages[-1]
 
     def test_final_at_least_stage0(self):
         pts = np.random.default_rng(10).normal(size=(50, 4))
         cfg = StrategyConfig(method=Method.NOISE_TUNED_DISPERSION)
-        choice = choose_direction_method3(pts, cfg, np.random.default_rng(30))
-        assert choice.dispersion >= choice.stage_dispersions[0]
+        _, stages = choose_directions(pts, one_node(pts), cfg, [np.random.default_rng(30)], [1])
+        assert stages[0, -1] >= stages[0, 0]
 
     def test_empty_sigmas_equals_method2(self):
         pts = np.random.default_rng(11).normal(size=(20, 3))
-        cfg = StrategyConfig(method=Method.NOISE_TUNED_DISPERSION, noise_sigmas=())
-        a = choose_direction_method2(pts, cfg, np.random.default_rng(31))
-        b = choose_direction_method3(pts, cfg, np.random.default_rng(31))
-        np.testing.assert_array_equal(a.direction, b.direction)
-        assert b.stage_dispersions == (a.dispersion,)
+        cfg3 = StrategyConfig(method=Method.NOISE_TUNED_DISPERSION, noise_sigmas=())
+        cfg2 = StrategyConfig(method=Method.MAX_DISPERSION, noise_sigmas=())
+        a, a_stages = choose_directions(pts, one_node(pts), cfg2, [np.random.default_rng(31)], [1])
+        b, b_stages = choose_directions(pts, one_node(pts), cfg3, [np.random.default_rng(31)], [1])
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a_stages, b_stages)
 
     def test_candidates_evaluated(self):
+        # n_try candidates per stage: the generator advances by n_try d-vector
+        # draws for stage 0 and for each of the two noise stages
         pts = np.random.default_rng(12).normal(size=(20, 2))
         cfg = StrategyConfig(method=Method.NOISE_TUNED_DISPERSION, n_try=4)
-        choice = choose_direction_method3(pts, cfg, np.random.default_rng(32))
-        assert choice.candidates_evaluated == 4 * 3  # stage 0 plus two noise stages
+        rng, replay = np.random.default_rng(32), np.random.default_rng(32)
+        _, stages = choose_directions(pts, one_node(pts), cfg, [rng], [1])
+        replay.standard_normal((4 * 3, 2))
+        assert stages.shape == (1, 3) and rng.random() == replay.random()
 
     def test_unit_norm_after_tuning(self):
         pts = np.random.default_rng(13).normal(size=(25, 3))
         cfg = StrategyConfig(method=Method.NOISE_TUNED_DISPERSION)
-        choice = choose_direction_method3(pts, cfg, np.random.default_rng(33))
-        assert np.linalg.norm(choice.direction) == pytest.approx(1.0, abs=1e-9)
+        r, _ = choose_directions(pts, one_node(pts), cfg, [np.random.default_rng(33)], [1])
+        assert np.linalg.norm(r[0]) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestMethod4:
+    # method 4 draws nothing, so it gets no generator
     def test_collinear_points(self):
         t = np.linspace(-2, 3, 10)
         pts = np.column_stack([t, 2 * t])
-        choice = choose_direction_method4(pts)
-        np.testing.assert_allclose(choice.direction, np.array([1.0, 2.0]) / np.sqrt(5), atol=1e-9)
+        r, _ = choose_directions(pts, one_node(pts), METHOD4, [], [])
+        np.testing.assert_allclose(r[0], np.array([1.0, 2.0]) / np.sqrt(5), atol=1e-9)
 
     def test_sign_normalization(self):
         t = np.linspace(-1, 1, 8)
         pts = np.column_stack([-t, t])  # pc is along (-1, 1)/sqrt(2) up to sign
-        choice = choose_direction_method4(pts)
-        first_nonzero = choice.direction[np.nonzero(np.abs(choice.direction) > 1e-12)[0][0]]
+        r = choose_directions(pts, one_node(pts), METHOD4, [], [])[0][0]
+        first_nonzero = r[np.nonzero(np.abs(r) > 1e-12)[0][0]]
         assert first_nonzero > 0
 
     def test_beats_angle_grid(self):
@@ -159,25 +167,25 @@ class TestMethod4:
         rng = np.random.default_rng(14)
         for _ in range(20):
             pts = anisotropic_points(rng, n=40, sx=3.0, sy=1.0)
-            choice = choose_direction_method4(pts)
+            r, _ = choose_directions(pts, one_node(pts), METHOD4, [], [])
             angles = np.linspace(0, np.pi, 360, endpoint=False)
-            grid_best = max(
-                dispersion(project(pts, np.array([np.cos(a), np.sin(a)]))) for a in angles
-            )
-            assert choice.dispersion >= grid_best - 1e-6
+            grid_best = max(dispersion(pts @ np.array([np.cos(a), np.sin(a)])) for a in angles)
+            assert dispersion(pts @ r[0]) >= grid_best - 1e-6
 
     def test_dominates_method1(self):
         rng = np.random.default_rng(15)
         for _ in range(50):
             pts = rng.normal(size=(30, 2))
-            pc = choose_direction_method4(pts)
-            rd = choose_direction_method1(pts, rng)
-            assert pc.dispersion >= rd.dispersion - 1e-12
+            pc, _ = choose_directions(pts, one_node(pts), METHOD4, [], [])
+            rd, _ = choose_directions(pts, one_node(pts), METHOD1, [rng], [1])
+            assert dispersion(pts @ pc[0]) >= dispersion(pts @ rd[0]) - 1e-12
 
     def test_identical_points_degenerate(self):
+        # no direction spreads identical points; the kernel still returns a
+        # finite unit direction and the build turns the node into a leaf
         pts = np.ones((10, 3))
-        with pytest.raises(DegenerateNodeError):
-            choose_direction_method4(pts)
+        r, _ = choose_directions(pts, one_node(pts), METHOD4, [], [])
+        assert np.all(np.isfinite(r)) and np.linalg.norm(r[0]) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestDispatch:
@@ -185,10 +193,10 @@ class TestDispatch:
     def test_unit_norm_and_determinism(self, method):
         pts = np.random.default_rng(16).normal(size=(30, 3))
         cfg = StrategyConfig(method=method)
-        a = choose_direction(pts, cfg, np.random.default_rng(40))
-        b = choose_direction(pts, cfg, np.random.default_rng(40))
-        np.testing.assert_array_equal(a.direction, b.direction)
-        assert np.linalg.norm(a.direction) == pytest.approx(1.0, abs=1e-9)
+        a, _ = choose_directions(pts, one_node(pts), cfg, [np.random.default_rng(40)], [1])
+        b, _ = choose_directions(pts, one_node(pts), cfg, [np.random.default_rng(40)], [1])
+        np.testing.assert_array_equal(a, b)
+        assert np.linalg.norm(a[0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_method_ordering_on_shared_node(self):
         # per node: PCA >= method 3 >= method 3's own stage 0
@@ -196,7 +204,7 @@ class TestDispatch:
         cfg3 = StrategyConfig(method=Method.NOISE_TUNED_DISPERSION)
         for _ in range(30):
             pts = rng.normal(size=(40, 2))
-            c3 = choose_direction_method3(pts, cfg3, rng)
-            c4 = choose_direction_method4(pts)
-            assert c4.dispersion >= c3.dispersion - 1e-9
-            assert c3.dispersion >= c3.stage_dispersions[0] - 1e-15
+            _, stages = choose_directions(pts, one_node(pts), cfg3, [rng], [1])
+            pc, _ = choose_directions(pts, one_node(pts), METHOD4, [], [])
+            assert dispersion(pts @ pc[0]) >= stages[0, -1] - 1e-9
+            assert stages[0, -1] >= stages[0, 0] - 1e-15
