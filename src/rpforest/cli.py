@@ -231,6 +231,20 @@ def run_ttest_report(rows: list[dict], t_threshold: int) -> list[dict]:
     return report
 
 
+def _check_config_value(action: argparse.Action, key: str, value) -> None:
+    """ConfigError unless value is what the flag would parse to: a non-empty
+    list for nargs="+", and values of the flag's type (bool for switches)."""
+    if value is None and action.default is None:
+        return  # unset, as when the flag is not given
+    kind, many = action.type or (bool if action.nargs == 0 else str), action.nargs == "+"
+    values = value if many and isinstance(value, list) else [value]
+    allowed = (int, float) if kind is float else kind  # JSON writes 1.0 as 1
+    ok = all(isinstance(v, allowed) and (kind is bool or not isinstance(v, bool)) for v in values)
+    if not ok or (many and not (isinstance(value, list) and value)):
+        shape = f"a non-empty list of {kind.__name__}" if many else kind.__name__
+        raise ConfigError(f"config key {key!r} must be {shape}, got {value!r}")
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     # parse once to find --config, load it as defaults, then parse for real so
     # explicit flags override file values
@@ -238,10 +252,14 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
     if pre.config:
         with open(pre.config, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-        known = {action.dest for action in parser._actions}
-        unknown = set(file_cfg) - known
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {type(file_cfg).__name__}")
+        actions = {action.dest: action for action in parser._actions}
+        unknown = set(file_cfg) - set(actions)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            _check_config_value(actions[key], key, value)
         parser.set_defaults(**file_cfg)
     return parser.parse_args(argv)
 

@@ -1,8 +1,13 @@
 """Numeric primitives shared by the tree, forest and evaluation code."""
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+# threads parallel_map runs on: the CPUs this process may use (taskset pins them)
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -87,3 +92,14 @@ def random_unit_direction(d: int, rng: np.random.Generator, size: tuple[int, ...
         v[short] = rng.standard_normal((int(short.sum()), d))
         norm[short] = np.linalg.norm(v[short], axis=-1)
     return v / norm[..., None]
+
+
+def parallel_map(fn, items) -> list:
+    """[fn(x) for x in items] on WORKERS threads, in input order; inline for
+    fewer than two items or one worker. fn should spend its time in numpy or
+    scipy calls that release the interpreter lock."""
+    items = list(items)
+    if len(items) < 2 or WORKERS < 2:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(min(WORKERS, len(items))) as pool:
+        return list(pool.map(fn, items))

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
+from . import core
 from .core import Dataset, check_queries
 # build_tree stays importable from here: the benchmark's tracer wraps rpforest.forest.build_tree
 from .tree import RpTree, TreeConfig, build_tree, build_trees, route  # noqa: F401
 
-POOL_BYTES = 16 << 20  # working-set budget of one chunk of queries
+POOL_BYTES = 16 << 20  # working-set budget of the query chunks of all workers together
 # budget of the points one group of trees gathers per level: a group shares
 # each level's numpy calls among its trees; larger groups fall out of cache
 BUILD_BYTES = 4 << 20
@@ -60,9 +61,9 @@ def build_forest(
     """Build n_trees trees, tree t seeded from child stream t of master_seed.
 
     Child streams are spawned from the master seed, so tree t is identical
-    regardless of how many trees follow it and trees can be built in parallel.
-    Trees are built level by level in groups whose gathered points fit
-    BUILD_BYTES; a tree does not depend on the group it is built in.
+    regardless of how many trees follow it. Trees are built level by level, in
+    groups whose gathered points fit BUILD_BYTES and at least one group per
+    worker (run on parallel_map's threads); a tree does not depend on its group.
     """
     if n_trees < 1:
         raise ValueError(f"need at least 1 tree, got {n_trees}")
@@ -71,8 +72,9 @@ def build_forest(
     else:
         ss = np.random.SeedSequence(master_seed)
     rngs = [np.random.default_rng(child) for child in ss.spawn(n_trees)]
-    group = max(1, BUILD_BYTES // (8 * data.n * data.d))
-    trees = [tree for lo in range(0, n_trees, group) for tree in build_trees(data, cfg, rngs[lo : lo + group])]
+    group = max(1, min(BUILD_BYTES // (8 * data.n * data.d), -(-n_trees // core.WORKERS)))
+    groups = core.parallel_map(lambda lo: build_trees(data, cfg, rngs[lo : lo + group]), range(0, n_trees, group))
+    trees = [tree for built in groups for tree in built]
     node_base = np.cumsum([0] + [t.splits.size for t in trees])
     leaf_base = np.cumsum([0] + [t.leaf_offsets.size - 1 for t in trees])
     offsets = np.concatenate([[0]] + [t.leaf_offsets[1:] + i * data.n for i, t in enumerate(trees)])
@@ -137,7 +139,8 @@ def _kernel(forest: RpForest, queries, k: int, self_ids=None, leaves=None) -> li
     """The one query path: route (unless leaves are given), pool, rank.
 
     Chunks are sized from each query's real candidate counts (before merging
-    for the pooling product, after it for ranking) to stay within POOL_BYTES.
+    for the pooling product, after it for ranking) to stay within POOL_BYTES
+    over all workers; parallel_map runs one task per pooling chunk.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -156,12 +159,17 @@ def _kernel(forest: RpForest, queries, k: int, self_ids=None, leaves=None) -> li
     order = np.argsort(leaves[:, 0], kind="stable")
     leaves, queries, self_ids = leaves[order], queries[order], self_ids[order]
     merged = (forest.membership.indptr[leaves + 1] - forest.membership.indptr[leaves]).sum(axis=1)
-    rows = []
-    for lo, hi in _spans(merged, POOL_BYTES // 8):
-        pool = _pool(forest, leaves[lo:hi])
-        for a, b in _spans(np.diff(pool.indptr), POOL_BYTES // (8 * (3 * forest.data.d + 5))):
+    budget = POOL_BYTES // core.WORKERS
+
+    def task(chunk) -> list[NeighborList]:
+        lo, hi = chunk
+        pool, rows = _pool(forest, leaves[lo:hi]), []
+        for a, b in _spans(np.diff(pool.indptr), budget // (8 * (3 * forest.data.d + 5))):
             span = slice(lo + a, lo + b)
             rows += _rank(forest.data.points, queries[span], pool.indptr[a : b + 1], pool.indices, k, self_ids[span])
+        return rows
+
+    rows = [row for part in core.parallel_map(task, _spans(merged, budget // 8)) for row in part]
     return [rows[i] for i in np.argsort(order).tolist()]
 
 

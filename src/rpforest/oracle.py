@@ -7,6 +7,7 @@ candidates, never from ordering.
 
 import numpy as np
 
+from . import core
 from .core import Dataset
 from .forest import NeighborList
 
@@ -36,17 +37,15 @@ def all_true_neighbors(data: Dataset, k: int, chunk_size: int | None = None) -> 
     if k < 1 or k > data.n - 1:
         raise ValueError(f"k must be in [1, {data.n - 1}], got {k}")
     if chunk_size is None:
-        # cap the (chunk, n, d) difference tensor at ~128 MB
-        chunk_size = max(1, min(data.n, 16_777_216 // (data.n * data.d)))
-    results: list[NeighborList] = []
-    pts = data.points
-    for start in range(0, data.n, chunk_size):
+        # cap the (chunk, n, d) difference tensors of all workers at ~128 MB
+        chunk_size = max(1, min(data.n, 16_777_216 // (core.WORKERS * data.n * data.d)))
+
+    def chunk(start: int) -> list[NeighborList]:
         stop = min(start + chunk_size, data.n)
-        diffs = pts[start:stop, None, :] - pts[None, :, :]
+        diffs = data.points[start:stop, None, :] - data.points[None, :, :]
         dists = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
         dists[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        order = np.argsort(dists, axis=1, kind="stable")[:, :k]
-        for row in range(stop - start):
-            ids = order[row].astype(np.intp)
-            results.append(NeighborList(ids=ids, distances=dists[row, ids]))
-    return results
+        order = np.argsort(dists, axis=1, kind="stable")[:, :k].astype(np.intp)
+        return [NeighborList(ids=ids, distances=dists[row, ids]) for row, ids in enumerate(order)]
+
+    return [row for rows in core.parallel_map(chunk, range(0, data.n, chunk_size)) for row in rows]

@@ -279,6 +279,11 @@ class TestFailFast:
             (None, ["--dataset", BLOBS, "--noise-sigmas", "0.01", "0.1"], 1),  # not decreasing
             (None, ["--dataset", BLOBS, "--noise-sigmas", "-1"], 1),
             (None, ["--dataset", BLOBS, "--ttest-threshold", "0"], 1),  # one repetition per cell
+            # config files: the value after --config is the file's JSON content
+            (None, ["--dataset", BLOBS, "--config", {"methods": 5}], 1),  # scalar for a list
+            (None, ["--dataset", BLOBS, "--config", {"noise_sigmas": ["a"]}], 1),  # list of the wrong type
+            (None, ["--dataset", BLOBS, "--config", 5], 1),  # not a JSON object
+            (None, ["--dataset", BLOBS, "--config", {"leaf_capacity": "20"}], 1),  # scalar of the wrong type
         ],
     )
     def test_bad_input_gives_one_error_line(self, tmp_path, monkeypatch, capsys, csv_text, flags, code):
@@ -292,6 +297,9 @@ class TestFailFast:
         if csv_text is not None:
             (tmp_path / "d.csv").write_text(csv_text)
             argv += ["--dataset", "d.csv"]
+        if "--config" in flags:
+            (tmp_path / "c.json").write_text(json.dumps(flags[-1]))
+            flags = [*flags[:-1], "c.json"]
         assert main(argv + flags) == code
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import rpforest.core
+import rpforest.forest
 from rpforest.core import Dataset
 from rpforest.forest import (
     build_forest,
@@ -9,6 +13,7 @@ from rpforest.forest import (
     query_knn,
 )
 from rpforest.oracle import all_true_neighbors, exact_knn
+from rpforest.strategies import StrategyConfig
 from rpforest.tree import TreeConfig
 
 
@@ -191,3 +196,47 @@ class TestQueryBatch:
         # k beyond the pool returns the whole pool without sizing anything by k
         found = query_knn(forest, ds.points[0], 10**12, self_id=0)
         assert 0 < len(found) < ds.n
+
+
+class TestWorkers:
+    """Results do not depend on how many threads parallel_map runs on."""
+
+    @staticmethod
+    def outputs(method, build_bytes):
+        data = random_dataset(7, n=160, d=3)
+        cfg = TreeConfig(leaf_capacity=8, strategy=StrategyConfig(method=method))
+        queries = np.random.default_rng(8).normal(size=(40, 3))
+        # small budgets: several tree groups and pooling chunks
+        with mock.patch.object(rpforest.forest, "BUILD_BYTES", build_bytes), \
+                mock.patch.object(rpforest.forest, "POOL_BYTES", 1 << 14):
+            forest = build_forest(data, cfg, 7, master_seed=9)
+            rows = query_all_training(forest, 5) + query_batch(forest, queries, 5)
+            rows += [query_knn(forest, q, 5, self_id=3) for q in queries[:3]]
+        rows += all_true_neighbors(data, 5, chunk_size=23) + all_true_neighbors(data, 5)
+        arrays = [forest.directions, forest.splits, forest.children, forest.node_base, forest.leaf_base]
+        arrays += [forest.membership.indptr, forest.membership.indices, forest.leaf_of]
+        return arrays + [a for row in rows for a in (row.ids, row.distances)]
+
+    @pytest.mark.parametrize("method", [1, 2, 3, 4])
+    @pytest.mark.parametrize("build_bytes", [2 * 8 * 160 * 3, rpforest.forest.BUILD_BYTES])
+    def test_bit_identical_for_1_2_3_workers(self, method, build_bytes):
+        outputs = []
+        for workers in (1, 2, 3):
+            with mock.patch.object(rpforest.core, "WORKERS", workers):
+                outputs.append(self.outputs(method, build_bytes))
+        for other in outputs[1:]:
+            assert len(other) == len(outputs[0])
+            for a, b in zip(outputs[0], other):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+    def test_single_queries_start_no_threads(self):
+        forest = build_forest(random_dataset(10), TreeConfig(), 5, master_seed=11)
+        queries = np.random.default_rng(12).normal(size=(4, 2))
+        with mock.patch.object(rpforest.core, "WORKERS", 2), \
+                mock.patch.object(rpforest.core, "ThreadPoolExecutor", side_effect=AssertionError("thread pool")):
+            query_knn(forest, queries[0], 5)
+            query_batch(forest, queries, 5)
+            with mock.patch.object(rpforest.forest, "POOL_BYTES", 1 << 14):  # several chunks: the patch is live
+                with pytest.raises(AssertionError, match="thread pool"):
+                    query_all_training(forest, 5)
