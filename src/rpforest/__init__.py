@@ -2,7 +2,7 @@
 split-direction strategies, an exact brute-force oracle, and a benchmark CLI.
 """
 
-from .core import Dataset, dispersion, euclidean_distance, random_unit_direction
+from .core import Dataset, dispersion, random_unit_direction
 from .forest import NeighborList, RpForest, build_forest, query_batch, query_knn, query_all_training
 from .metrics import distance_error, missing_rate
 from .oracle import all_true_neighbors, exact_knn
@@ -25,7 +25,6 @@ __all__ = [
     "build_tree",
     "dispersion",
     "distance_error",
-    "euclidean_distance",
     "exact_knn",
     "missing_rate",
     "query_batch",

@@ -48,12 +48,16 @@ def check_queries(queries, d: int) -> np.ndarray:
     return q
 
 
-def euclidean_distance(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum((a - b) ** 2)))
+def check_self_ids(self_ids, m: int, n: int) -> np.ndarray:
+    """m integer ids in [0, n) to leave out, else ValueError; None gives m -1s (none)."""
+    if self_ids is None:
+        return np.full(m, -1)
+    ids = np.asarray(self_ids)
+    if ids.shape != (m,):
+        raise ValueError(f"self_ids has shape {ids.shape}, expected ({m},)")
+    if m and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= n):
+        raise ValueError(f"self ids must be integers in [0, {n}), got {ids.dtype} in [{ids.min()}, {ids.max()}]")
+    return ids
 
 
 def dispersion(values, seg=None):

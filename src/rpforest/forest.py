@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse
 
 from . import core
-from .core import Dataset, check_queries
+from .core import Dataset, check_queries, check_self_ids
 # build_tree stays importable from here: the benchmark's tracer wraps rpforest.forest.build_tree
 from .tree import RpTree, TreeConfig, build_tree, build_trees, route  # noqa: F401
 
@@ -111,6 +111,19 @@ def _pool(forest: RpForest, leaves: np.ndarray) -> scipy.sparse.csr_matrix:
     return scipy.sparse.csr_matrix((np.ones(leaves.size, bool), leaves.ravel(), indptr), shape) @ forest.membership
 
 
+def nearest(grid, ids, k: int, counts) -> list[NeighborList]:
+    """Each row's k best (distance, id) pairs. Row i of grid holds counts[i]
+    distances padded with inf, ids (broadcast to grid) their ids; only the
+    entries up to each row's k-th distance, ties included, get sorted."""
+    last = min(k, grid.shape[1]) - 1
+    row, col = np.nonzero(grid <= np.partition(grid, last, axis=1)[:, last, None])  # up to each k-th distance
+    ids, dists = np.broadcast_to(ids, grid.shape)[row, col], grid[row, col]
+    order = np.lexsort((ids, dists, row))
+    ids, dists = ids[order], dists[order]
+    starts = np.searchsorted(row, np.arange(grid.shape[0])).tolist()  # row is sorted: nonzero scans row-major
+    return [NeighborList(ids[s : s + n], dists[s : s + n]) for s, n in zip(starts, np.minimum(counts, k).tolist())]
+
+
 def _rank(points, queries, indptr, indices, k: int, self_ids) -> list[NeighborList]:
     """The k best (distance, id) pairs of each pool row, minus the row's own id."""
     m = queries.shape[0]
@@ -120,19 +133,11 @@ def _rank(points, queries, indptr, indices, k: int, self_ids) -> list[NeighborLi
     ids, row = ids[keep], row[keep]
     counts = np.bincount(row, minlength=m)
     diffs = points[ids] - queries[row]
-    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    # each row's k-th smallest distance, from rows padded with inf
-    grid = np.full((m, max(1, int(counts.max(initial=0)))), np.inf)
-    grid[row, np.arange(ids.size) - np.repeat(np.cumsum(counts) - counts, counts)] = dists
-    last = min(k, grid.shape[1]) - 1
-    kth = np.partition(grid, last, axis=1)[:, last]
-    # only candidates up to it (exact ties included) get sorted by (row, distance, id)
-    near = np.flatnonzero(dists <= kth[row])
-    near = near[np.lexsort((ids[near], dists[near], row[near]))]
-    starts = np.searchsorted(row[near], np.arange(m)).tolist()
-    ids, dists = ids[near], dists[near]
-    sizes = np.minimum(counts, k).tolist()
-    return [NeighborList(ids=ids[s : s + n], distances=dists[s : s + n]) for s, n in zip(starts, sizes)]
+    shape = (m, max(1, int(counts.max(initial=0))))  # rows padded to the longest
+    cell = (row, np.arange(ids.size) - np.repeat(np.cumsum(counts) - counts, counts))
+    grid, id_grid = np.full(shape, np.inf), np.full(shape, np.iinfo(np.intp).max)  # padding sorts last
+    grid[cell], id_grid[cell] = np.sqrt(np.einsum("ij,ij->i", diffs, diffs)), ids
+    return nearest(grid, id_grid, k, counts)
 
 
 def _kernel(forest: RpForest, queries, k: int, self_ids=None, leaves=None) -> list[NeighborList]:
@@ -146,9 +151,7 @@ def _kernel(forest: RpForest, queries, k: int, self_ids=None, leaves=None) -> li
         raise ValueError(f"k must be >= 1, got {k}")
     queries = check_queries(queries, forest.data.d)
     m = queries.shape[0]
-    self_ids = np.full(m, -1) if self_ids is None else np.asarray(self_ids)
-    if self_ids.shape != (m,):
-        raise ValueError(f"self_ids has shape {self_ids.shape}, expected ({m},)")
+    self_ids = check_self_ids(self_ids, m, forest.data.n)
     if leaves is None:  # route in blocks whose gathered points and directions fit the budget
         step = max(1, POOL_BYTES // (16 * forest.data.d * len(forest.trees)))
         table = (forest.directions, forest.splits, forest.children, forest.node_base)
@@ -164,7 +167,7 @@ def _kernel(forest: RpForest, queries, k: int, self_ids=None, leaves=None) -> li
     def task(chunk) -> list[NeighborList]:
         lo, hi = chunk
         pool, rows = _pool(forest, leaves[lo:hi]), []
-        for a, b in _spans(np.diff(pool.indptr), budget // (8 * (3 * forest.data.d + 5))):
+        for a, b in _spans(np.diff(pool.indptr), budget // (8 * (3 * forest.data.d + 6))):
             span = slice(lo + a, lo + b)
             rows += _rank(forest.data.points, queries[span], pool.indptr[a : b + 1], pool.indices, k, self_ids[span])
         return rows

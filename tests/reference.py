@@ -5,7 +5,9 @@ The query path first: the batched kernel in rpforest.forest must match it.
 Routing descends each tree node by node, splitting the rows that reach a node
 with the build's own projection (x.r < c goes left). Ranking handles one query
 at a time: the deduplicated union of its leaves, minus its own id, ordered by
-a stable argsort on distance, so ties go to the smaller id.
+a stable argsort on distance, so ties go to the smaller id. The same
+ranker, over every id except the query's own, is the exact oracle's
+reference (tests/test_oracle.py).
 """
 
 import numpy as np

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -175,6 +176,26 @@ class TestMain:
         assert code == 0
         assert out.exists()
         assert len(out.read_text().strip().split("\n")) == 1 + 2 * 2 * 2
+
+    def test_golden_csv_is_byte_identical(self, tmp_path):
+        # the behaviour contract: for fixed seeds the --no-timings CSV keeps its
+        # bytes; a change that alters RNG use or summation order updates the
+        # file and says so
+        out = tmp_path / "results.csv"
+        code = main(
+            [
+                "--dataset", "blobs:n=200,d=2,centers=3,sigma=0.8,seed=1",
+                "--methods", "1", "2", "3", "4",
+                "--trees", "1", "5",
+                "--k", "5",
+                "--reps", "2",
+                "--seed", "3",
+                "--no-timings",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert out.read_bytes() == (pathlib.Path(__file__).parent / "golden_grid.csv").read_bytes()
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         code = main(

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from rpforest.core import (
     Dataset,
     dispersion,
-    euclidean_distance,
     random_unit_direction,
 )
 
@@ -24,33 +23,6 @@ class TestDataset:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Dataset.from_points(np.empty((0, 3)))
-
-
-class TestEuclideanDistance:
-    def test_3_4_5_triangle(self):
-        assert euclidean_distance([0.0, 0.0], [3.0, 4.0]) == 5.0
-
-    def test_identity(self):
-        x = [1.5, -2.0, 7.0]
-        assert euclidean_distance(x, x) == 0.0
-
-    def test_matches_scalar_loop(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.normal(size=5), rng.normal(size=5)
-        expected = sum((ai - bi) ** 2 for ai, bi in zip(a, b)) ** 0.5
-        assert abs(euclidean_distance(a, b) - expected) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            euclidean_distance([1.0], [1.0, 2.0])
-
-    def test_triangle_inequality(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            a, b, c = rng.normal(size=(3, 4))
-            assert euclidean_distance(a, c) <= (
-                euclidean_distance(a, b) + euclidean_distance(b, c) + 1e-12
-            )
 
 
 class TestDispersion:

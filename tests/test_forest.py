@@ -5,6 +5,7 @@ import pytest
 
 import rpforest.core
 import rpforest.forest
+import rpforest.oracle
 from rpforest.core import Dataset
 from rpforest.forest import (
     build_forest,
@@ -123,6 +124,11 @@ class TestQueryValidation:
             (lambda f: query_batch(f, np.zeros(2), 3), "dimension mismatch"),
             (lambda f: query_batch(f, [[0.0, np.inf]], 3), "NaN or Inf"),
             (lambda f: query_batch(f, np.zeros((4, 2)), 3, self_ids=[0, 1]), "self_ids"),
+            (lambda f: query_knn(f, [0.0, 0.0], 3, self_id=-1), "self ids"),
+            (lambda f: query_knn(f, [0.0, 0.0], 3, self_id=50), "self ids"),
+            (lambda f: query_batch(f, np.zeros((2, 2)), 3, self_ids=[0, 50]), "self ids"),
+            (lambda f: query_batch(f, np.zeros((2, 2)), 3, self_ids=[-1, 0]), "self ids"),
+            (lambda f: query_batch(f, np.zeros((2, 2)), 3, self_ids=[0.0, 1.0]), "self ids"),
         ],
     )
     def test_bad_queries_rejected(self, call, message):
@@ -212,7 +218,10 @@ class TestWorkers:
             forest = build_forest(data, cfg, 7, master_seed=9)
             rows = query_all_training(forest, 5) + query_batch(forest, queries, 5)
             rows += [query_knn(forest, q, 5, self_id=3) for q in queries[:3]]
-        rows += all_true_neighbors(data, 5, chunk_size=23) + all_true_neighbors(data, 5)
+        # chunks of 69, 34 or 23 rows for 1, 2 or 3 workers, the last one short
+        with mock.patch.object(rpforest.oracle, "ORACLE_BYTES", 8 * 160 * 3 * 69):
+            rows += all_true_neighbors(data, 5)
+        rows += all_true_neighbors(data, 5)
         arrays = [forest.directions, forest.splits, forest.children, forest.node_base, forest.leaf_base]
         arrays += [forest.membership.indptr, forest.membership.indices, forest.leaf_of]
         return arrays + [a for row in rows for a in (row.ids, row.distances)]
