@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Dataset
 from .data import CsvFormatError, gen_concentric_rings, gen_gaussian_blobs, load_csv
-from .forest import build_forest, query_all_training
+from .forest import NeighborList, build_forest, query_all_training
 from .metrics import distance_error, missing_rate
 from .oracle import all_true_neighbors
 from .stats import two_sample_ttest
@@ -140,7 +140,9 @@ def run_experiment_grid(data: Dataset, cfg: ExperimentConfig) -> list[dict]:
     """
     tree_configs = cfg.validate(data.n)
     reps = cfg.effective_repetitions(data.n)
-    truth = {k: all_true_neighbors(data, k) for k in cfg.k_values}
+    # rows sorted by (distance, id): each smaller k's rows are prefixes
+    widest = all_true_neighbors(data, max(cfg.k_values))
+    truth = {k: [NeighborList(row.ids[:k], row.distances[:k]) for row in widest] for k in cfg.k_values}
     cells = [
         (method, n_trees, k)
         for method in cfg.methods

@@ -16,6 +16,7 @@ from rpforest.cli import (
     write_results_csv,
 )
 from rpforest.data import gen_gaussian_blobs
+from rpforest.oracle import all_true_neighbors
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +93,19 @@ class TestExperimentGrid:
         write_results_csv(run_experiment_grid(small_data, cfg), p1)
         write_results_csv(run_experiment_grid(small_data, cfg), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_one_oracle_call_for_all_k(self, small_data, monkeypatch):
+        calls = []
+
+        def counted(data, k):
+            calls.append(k)
+            return all_true_neighbors(data, k)
+
+        monkeypatch.setattr(rpforest.cli, "all_true_neighbors", counted)
+        cfg = ExperimentConfig(methods=(1,), forest_sizes=(2,), k_values=(5, 3), repetitions=1)
+        rows = run_experiment_grid(small_data, cfg)
+        assert calls == [5]
+        assert [row["k"] for row in rows] == [5, 3]
 
     def test_validation_before_work(self, small_data):
         with pytest.raises(ConfigError):

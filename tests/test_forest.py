@@ -219,7 +219,7 @@ class TestWorkers:
             rows = query_all_training(forest, 5) + query_batch(forest, queries, 5)
             rows += [query_knn(forest, q, 5, self_id=3) for q in queries[:3]]
         # chunks of 69, 34 or 23 rows for 1, 2 or 3 workers, the last one short
-        with mock.patch.object(rpforest.oracle, "ORACLE_BYTES", 8 * 160 * 3 * 69):
+        with mock.patch.object(rpforest.oracle, "ORACLE_BYTES", 8 * 160 * 69):
             rows += all_true_neighbors(data, 5)
         rows += all_true_neighbors(data, 5)
         arrays = [forest.directions, forest.splits, forest.children, forest.node_base, forest.leaf_base]

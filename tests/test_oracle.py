@@ -25,26 +25,47 @@ def double_loop_knn(points, qi, k):
     return [j for _, j in scored[:k]], [d for d, _ in scored[:k]]
 
 
+KINDS = ["continuous", "grid", "duplicates", "offset", "huge", "mixed", "tiny"]
+
+
+def kind_points(kind, rng, shape):
+    """Points of one kind. offset: 1e6 plus a 1e-3 spread (Gram terms cancel);
+    huge: +-1e200 (squared distances overflow to inf); mixed: unit scale with
+    a few points near +-1e160; tiny: near 1e-170 or 1e-160 (squares underflow)."""
+    if kind == "continuous":
+        return rng.normal(size=shape)
+    if kind == "grid":  # exact distance ties
+        return rng.integers(-2, 3, size=shape).astype(np.float64)
+    if kind == "duplicates":
+        distinct = rng.normal(size=(int(rng.integers(1, 4)), shape[1]))
+        return distinct[rng.integers(0, distinct.shape[0], size=shape[0])]
+    if kind == "offset":
+        return 1e6 + 1e-3 * rng.normal(size=shape)
+    if kind == "huge":
+        return 1e200 * rng.normal(size=shape)
+    if kind == "mixed":
+        points = rng.normal(size=shape)
+        few = rng.choice(shape[0], size=min(3, shape[0]), replace=False)
+        points[few] = 1e160 * rng.normal(size=(few.size, shape[1]))
+        return points
+    return rng.choice([1e-170, 1e-160]) * rng.normal(size=shape)
+
+
 @st.composite
 def oracle_cases(draw):
-    """Continuous, integer-grid (exact distance ties) or duplicate-heavy data
-    with a held-out query of the same kind, k in 1..n-1, an optional self id
-    and a column order. Returns (data, query, k, self_id, order)."""
+    """Data of one of KINDS with a held-out query of the same kind, or one far
+    from the data, k in 1..n-1, an optional self id and a column order.
+    Returns (data, query, k, self_id, order)."""
     n = draw(st.integers(2, 40))
     d = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["continuous", "grid", "duplicates"]))
+    kind = draw(st.sampled_from(KINDS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "continuous":
-        points = rng.normal(size=(n + 1, d))
-    elif kind == "grid":
-        points = rng.integers(-2, 3, size=(n + 1, d)).astype(np.float64)
-    else:
-        distinct = rng.normal(size=(draw(st.integers(1, 3)), d))
-        points = distinct[rng.integers(0, distinct.shape[0], size=n + 1)]
+    points = kind_points(kind, rng, (n + 1, d))
+    query = points[n] + draw(st.sampled_from([0.0, 1e3])) * (1.0 + np.abs(points).max())
     k = draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)))
     self_id = draw(st.one_of(st.none(), st.integers(0, n - 1)))
     order = np.array(draw(st.permutations(range(n))), dtype=np.intp)
-    return Dataset.from_points(points[:n]), points[n], k, self_id, order
+    return Dataset.from_points(points[:n]), query, k, self_id, order
 
 
 def assert_same_row(found, expected):
@@ -63,11 +84,14 @@ def test_oracle_matches_full_stable_sort(case):
     expected = [reference.rank(data, np.delete(data.ids, i), data.points[i], k) for i in range(data.n)]
     for found, ref in zip(all_true_neighbors(data, k), expected, strict=True):
         assert_same_row(found, ref)
-    # the rule does not lean on candidates arriving in id order
+    # the rule does not lean on candidates arriving in id order; the own id is
+    # dropped, not set to inf, since huge data has distances of inf
+    others = ~np.eye(data.n, dtype=bool)
     diffs = data.points[None, :, :] - data.points[:, None, :]
-    grid = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
-    np.fill_diagonal(grid, np.inf)
-    shuffled = nearest(grid[:, order], data.ids[order], k, np.full(data.n, k))
+    grid = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))[others].reshape(data.n, -1)
+    ids = np.broadcast_to(data.ids, others.shape)[others].reshape(data.n, -1)
+    cols = order[order < data.n - 1]
+    shuffled = nearest(grid[:, cols], ids[:, cols], k, np.full(data.n, k))
     for found, ref in zip(shuffled, expected, strict=True):
         assert_same_row(found, ref)
 
@@ -156,13 +180,32 @@ class TestAllTrueNeighbors:
             if int(table[j].ids[0]) == i:
                 assert table[i].distances[0] == table[j].distances[0]
 
+    # each fails with one part of the oracle's filter slack taken out: the
+    # huge and mixed ones without the overflow rule, grid with tol = 0, and
+    # tiny (seed 2, 1-d) without the absolute term for underflow
+    @pytest.mark.parametrize("kind, seed, d", [("huge", 13, 3), ("mixed", 13, 3), ("tiny", 2, 1), ("grid", 13, 3)])
+    def test_regression_rows_where_gram_terms_round_overflow_or_underflow(self, kind, seed, d):
+        data = Dataset.from_points(kind_points(kind, np.random.default_rng(seed), (12, d)))
+        for k in (1, 5, 11):
+            for i, row in enumerate(all_true_neighbors(data, k)):
+                assert_same_row(row, reference.rank(data, np.delete(data.ids, i), data.points[i], k))
+            far = np.full(d, 1e3)
+            assert_same_row(exact_knn(data, far, k), reference.rank(data, data.ids, far, k))
+
+    def test_overflowing_distances_order_by_id(self):
+        # every squared distance is inf, so (distance, id) order is id order
+        data = Dataset.from_points(kind_points("huge", np.random.default_rng(13), (12, 3)))
+        found = exact_knn(data, np.zeros(3), 5)
+        np.testing.assert_array_equal(found.ids, [0, 1, 2, 3, 4])
+        assert np.all(found.distances == np.inf)
+
     def test_chunking_does_not_change_results(self):
         pts = np.random.default_rng(5).normal(size=(60, 3))
         ds = Dataset.from_points(pts)
-        # chunks of 7 rows (the last one short) and one chunk of all 60
-        with mock.patch.object(rpforest.oracle, "ORACLE_BYTES", 8 * 60 * 3 * 7 * rpforest.core.WORKERS):
+        # chunks of 7 rows (the last one short), and on one worker one chunk of all 60
+        with mock.patch.object(rpforest.oracle, "ORACLE_BYTES", 8 * 60 * 7 * rpforest.core.WORKERS):
             a = all_true_neighbors(ds, 3)
-        with mock.patch.object(rpforest.oracle, "ORACLE_BYTES", 8 * 60 * 3 * 60 * rpforest.core.WORKERS):
+        with mock.patch.object(rpforest.core, "WORKERS", 1):
             b = all_true_neighbors(ds, 3)
         for ra, rb in zip(a, b):
             np.testing.assert_array_equal(ra.ids, rb.ids)
