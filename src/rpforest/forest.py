@@ -7,6 +7,7 @@ and keep each row's k nearest by (distance, id), ties going to the smaller id.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -14,7 +15,7 @@ import scipy.sparse
 from . import core
 from .core import Dataset, check_queries, check_self_ids
 # build_tree stays importable from here: the benchmark's tracer wraps rpforest.forest.build_tree
-from .tree import RpTree, TreeConfig, build_tree, build_trees, route  # noqa: F401
+from .tree import RpTree, TreeConfig, build_tree, build_trees, route, tree_views  # noqa: F401
 
 POOL_BYTES = 16 << 20  # working-set budget of the query chunks of all workers together
 # budget of the points one group of trees gathers per level: a group shares
@@ -35,11 +36,10 @@ class NeighborList:
 
 @dataclass
 class RpForest:
-    """T trees in one node table; each tree's arrays are views into it. Tree t
-    owns node rows node_base[t]:node_base[t + 1] (child codes local to the
-    tree) and rows leaf_base[t]:leaf_base[t + 1] of the membership matrix."""
+    """T trees in one node table. Tree t owns node rows node_base[t]:
+    node_base[t + 1] (child codes local to the tree) and rows leaf_base[t]:
+    leaf_base[t + 1] of the membership matrix."""
 
-    trees: list[RpTree]
     tree_config: TreeConfig
     data: Dataset
     master_seed: int | np.random.SeedSequence
@@ -50,6 +50,13 @@ class RpForest:
     leaf_base: np.ndarray
     membership: scipy.sparse.csr_matrix  # (leaves x points); its indptr/indices are the leaf CSR
     leaf_of: np.ndarray  # (T, n)
+
+    @cached_property
+    def trees(self) -> list[RpTree]:
+        """Per-tree views of the tables, made on first read; queries do not use them."""
+        csr = self.membership
+        table = (self.directions, self.splits, self.children, self.node_base, self.leaf_base)
+        return tree_views(*table, csr.indptr, csr.indices, self.leaf_of)
 
 
 def build_forest(
@@ -64,6 +71,11 @@ def build_forest(
     regardless of how many trees follow it. Trees are built level by level, in
     groups whose gathered points fit BUILD_BYTES and at least one group per
     worker (run on parallel_map's threads); a tree does not depend on its group.
+
+    The groups' tables (see build_trees) are concatenated once. node_base,
+    leaf_base and the membership indptr are the cumulative sums of the nodes
+    per tree, the leaves per tree and the leaf sizes; the members grouped by
+    leaf are the membership indices, tree t's n ids at [t * n:(t + 1) * n].
     """
     if n_trees < 1:
         raise ValueError(f"need at least 1 tree, got {n_trees}")
@@ -74,22 +86,10 @@ def build_forest(
     rngs = [np.random.default_rng(child) for child in ss.spawn(n_trees)]
     group = max(1, min(BUILD_BYTES // (8 * data.n * data.d), -(-n_trees // core.WORKERS)))
     groups = core.parallel_map(lambda lo: build_trees(data, cfg, rngs[lo : lo + group]), range(0, n_trees, group))
-    trees = [tree for built in groups for tree in built]
-    node_base = np.cumsum([0] + [t.splits.size for t in trees])
-    leaf_base = np.cumsum([0] + [t.leaf_offsets.size - 1 for t in trees])
-    offsets = np.concatenate([[0]] + [t.leaf_offsets[1:] + i * data.n for i, t in enumerate(trees)])
-    members = np.concatenate([t.leaf_members for t in trees])
-    membership = scipy.sparse.csr_matrix(
-        (np.ones(members.size, bool), members, offsets), shape=(leaf_base[-1], data.n)
-    )
-    table = [np.concatenate([getattr(t, name) for t in trees]) for name in ("directions", "splits", "children")]
-    leaf_of = np.stack([t.leaf_of for t in trees])
-    for i, tree in enumerate(trees):
-        nodes, (lo, hi) = slice(*node_base[i : i + 2]), leaf_base[i : i + 2]
-        tree.directions, tree.splits, tree.children = (a[nodes] for a in table)
-        tree.leaf_offsets, tree.leaf_members = membership.indptr[lo : hi + 1], membership.indices
-        tree.leaf_of = leaf_of[i]
-    return RpForest(trees, cfg, data, master_seed, *table, node_base, leaf_base, membership, leaf_of)
+    directions, splits, children, *counts, members, leaf_of = (np.concatenate(a) for a in zip(*groups))
+    node_base, leaf_base, indptr = (np.concatenate([[0], np.cumsum(a)]) for a in counts)
+    membership = scipy.sparse.csr_matrix((np.ones(members.size, bool), members, indptr), (leaf_base[-1], data.n))
+    return RpForest(cfg, data, master_seed, directions, splits, children, node_base, leaf_base, membership, leaf_of)
 
 
 def _spans(counts: np.ndarray, cap: int):
@@ -153,7 +153,7 @@ def _kernel(forest: RpForest, queries, k: int, self_ids=None, leaves=None) -> li
     m = queries.shape[0]
     self_ids = check_self_ids(self_ids, m, forest.data.n)
     if leaves is None:  # route in blocks whose gathered points and directions fit the budget
-        step = max(1, POOL_BYTES // (16 * forest.data.d * len(forest.trees)))
+        step = max(1, POOL_BYTES // (16 * forest.data.d * (forest.node_base.size - 1)))
         table = (forest.directions, forest.splits, forest.children, forest.node_base)
         leaves = np.concatenate([route(*table, queries[lo : lo + step]) for lo in range(0, max(m, 1), step)])
         leaves += forest.leaf_base[:-1]

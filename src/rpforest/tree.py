@@ -2,7 +2,8 @@
 
 Internal node j projects onto directions[j], splits at splits[j] and has
 child codes children[j] = (left, right): code c >= 0 is internal node c, code
-c < 0 is leaf ~c, whose members are leaf_members[leaf_offsets[~c]:...]. Routing
+c < 0 is leaf ~c, whose members are leaf_members[leaf_offsets[~c]:...]. The
+build writes these arrays for a whole forest; an RpTree views one tree. Routing
 reuses the build's comparison (x.r < c goes left) and its projection, an
 einsum whose value for a row does not depend on the rows computed with it, so
 every training point routes back to its own leaf.
@@ -15,18 +16,17 @@ import numpy as np
 from .core import Dataset, check_queries
 from .strategies import StrategyConfig, choose_directions
 
+MAX_DEGENERATE_RETRIES = 3  # fresh draws for a node whose split leaves a side empty
+
 
 @dataclass(frozen=True)
 class TreeConfig:
     leaf_capacity: int = 20
     strategy: StrategyConfig = field(default_factory=StrategyConfig)
-    max_degenerate_retries: int = 3
 
     def __post_init__(self):
         if self.leaf_capacity < 2:
             raise ValueError(f"leaf_capacity must be >= 2, got {self.leaf_capacity}")
-        if self.max_degenerate_retries < 0:
-            raise ValueError("max_degenerate_retries must be >= 0")
 
 
 @dataclass
@@ -37,7 +37,6 @@ class RpTree:
     leaf_offsets: np.ndarray  # (n_leaves + 1,) positions in leaf_members
     leaf_members: np.ndarray  # point ids grouped by leaf (ascending), leaves left to right
     leaf_of: np.ndarray  # training point id -> leaf index
-    config: TreeConfig
 
     def node(self, code: int) -> "Internal | Leaf":
         """Read-only view of the node with child code `code`."""
@@ -102,12 +101,25 @@ def split_segments(values: np.ndarray, sizes: np.ndarray, u: np.ndarray):
     return order, c, n_left
 
 
+def tree_views(directions, splits, children, node_base, leaf_base, indptr, members, leaf_of) -> list[RpTree]:
+    """One RpTree per tree of a forest's tables (see RpForest), viewing their
+    arrays: a tree's leaf_members are its own n ids, and its leaf_offsets (the
+    one copied array) run from 0 to n."""
+    views = []
+    for t, (a, b, lo, hi) in enumerate(zip(node_base, node_base[1:], leaf_base, leaf_base[1:])):
+        offsets, ids = indptr[lo : hi + 1] - indptr[lo], members[indptr[lo] : indptr[hi]]
+        views.append(RpTree(directions[a:b], splits[a:b], children[a:b], offsets, ids, leaf_of[t]))
+    return views
+
+
 def build_tree(data: Dataset, cfg: TreeConfig, rng: np.random.Generator) -> RpTree:
     """Partition the dataset into an rpTree; see build_trees."""
-    return build_trees(data, cfg, [rng])[0]
+    directions, splits, children, _, _, sizes, members, leaf_of = build_trees(data, cfg, [rng])
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    return tree_views(directions, splits, children, [0, splits.size], [0, sizes.size], indptr, members, leaf_of)[0]
 
 
-def build_trees(data: Dataset, cfg: TreeConfig, rngs) -> list[RpTree]:
+def build_trees(data: Dataset, cfg: TreeConfig, rngs):
     """Build one rpTree per generator, splitting every node of a level at once.
 
     perm holds one permutation of the point ids per tree, each node's ids in
@@ -118,9 +130,15 @@ def build_trees(data: Dataset, cfg: TreeConfig, rngs) -> list[RpTree]:
     goes left). Each tree draws, from its own generator and per level, the
     directions of all its nodes in bulk, then their u values; a node whose
     split leaves a side empty draws again (direction and u, only the failing
-    nodes) up to max_degenerate_retries times and is then forced into a leaf.
+    nodes) up to MAX_DEGENERATE_RETRIES times and is then forced into a leaf.
     Nodes of identical points become leaves at once. A tree depends only on
     its own generator, not on the trees built with it.
+
+    Returns the trees' table in forest layout, tree after tree: the node rows
+    (directions, splits, children; internal nodes level by level, child codes
+    local to the tree), the nodes and the leaves of each tree, the leaf sizes
+    and the members grouped by leaf (leaves left to right, members
+    ascending), and the (trees, n) table of each point's local leaf index.
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
@@ -149,7 +167,7 @@ def build_trees(data: Dataset, cfg: TreeConfig, rngs) -> list[RpTree]:
         start = np.column_stack([start, start + n_left]).ravel()
         size = np.column_stack([n_left, size - n_left]).ravel()
         parent, side = row.repeat(2), np.tile([0, 1], row.size)
-    return _assemble(data, cfg, perm, nodes, leaves)
+    return _assemble(data, perm, nodes, leaves)
 
 
 def _split_level(points, perm, start, size, cfg: TreeConfig, rngs, work):
@@ -159,7 +177,7 @@ def _split_level(points, perm, start, size, cfg: TreeConfig, rngs, work):
     m = start.size
     direction, c, n_left = np.empty((m, points.shape[1])), np.empty(m), np.zeros(m, dtype=np.intp)
     todo = np.arange(m)
-    for _ in range(cfg.max_degenerate_retries + 1):
+    for _ in range(MAX_DEGENERATE_RETRIES + 1):
         if not todo.size:
             break
         sizes = size[todo]
@@ -185,9 +203,8 @@ def _split_level(points, perm, start, size, cfg: TreeConfig, rngs, work):
     return direction, c, n_left
 
 
-def _assemble(data: Dataset, cfg: TreeConfig, perm, nodes, leaves) -> list[RpTree]:
-    """Per-tree arrays from the level records: internal nodes numbered level
-    by level, leaves left to right, leaf members ascending."""
+def _assemble(data: Dataset, perm, nodes, leaves):
+    """The table build_trees returns, from its level records."""
     n = data.n
     n_trees = perm.size // n
     direction, splits, node_start, node_parent, node_side = (np.concatenate(a) for a in zip(*nodes))
@@ -213,24 +230,8 @@ def _assemble(data: Dataset, cfg: TreeConfig, perm, nodes, leaves) -> list[RpTre
     members = np.sort(label * n + perm) - label * n
     leaf_of = np.empty(perm.size, dtype=np.intp)
     leaf_of[np.arange(perm.size) // n * n + members] = leaf_local[leaf_order][label]
-    leaf_of = leaf_of.reshape(n_trees, n)
-    sizes = leaf_size[leaf_order]
-    trees = []
-    for t in range(n_trees):
-        rows = node_order[node_base[t] : node_base[t + 1]]
-        lo, hi = leaf_base[t : t + 2]
-        trees.append(
-            RpTree(
-                directions=direction[rows],
-                splits=splits[rows],
-                children=children[rows],
-                leaf_offsets=np.concatenate([[0], np.cumsum(sizes[lo:hi])]),
-                leaf_members=members[t * n : (t + 1) * n],
-                leaf_of=leaf_of[t],
-                config=cfg,
-            )
-        )
-    return trees
+    rows = (direction[node_order], splits[node_order], children[node_order])
+    return *rows, np.diff(node_base), np.diff(leaf_base), leaf_size[leaf_order], members, leaf_of.reshape(n_trees, n)
 
 
 def route(directions, splits, children, node_base, points) -> np.ndarray:

@@ -121,16 +121,12 @@ def test_build_groups_equal_single_trees(case, group):
     with mock.patch.object(rpforest.forest, "BUILD_BYTES", group * 8 * data.n * data.d):
         grouped = build_forest(data, cfg, len(forest.trees), forest.master_seed)
 
-    def arrays(tree):  # a forest's trees view its shared leaf CSR
-        lo, hi = tree.leaf_offsets[[0, -1]]
-        members = tree.leaf_members[lo:hi]
-        return tree.directions, tree.splits, tree.children, tree.leaf_offsets - lo, members, tree.leaf_of
-
+    names = ("directions", "splits", "children", "leaf_offsets", "leaf_members", "leaf_of")
     for a, b, rng in zip(forest.trees, grouped.trees, rngs):
-        single = arrays(build_tree(data, cfg, rng))
-        for x, y, z in zip(arrays(a), arrays(b), single):
-            np.testing.assert_array_equal(x, z)
-            np.testing.assert_array_equal(y, z)
+        single = build_tree(data, cfg, rng)
+        for name in names:
+            np.testing.assert_array_equal(getattr(a, name), getattr(single, name), err_msg=name)
+            np.testing.assert_array_equal(getattr(b, name), getattr(single, name), err_msg=name)
 
 
 @st.composite

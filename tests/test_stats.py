@@ -40,11 +40,10 @@ class TestValidation:
 
     def test_zero_variance_different_means(self):
         # both samples constant: the limit of the test, not an error
-        for equal_var in (True, False):
-            below = two_sample_ttest([1.0, 1.0], [2.0, 2.0, 2.0], equal_var=equal_var)
-            above = two_sample_ttest([2.0, 2.0, 2.0], [1.0, 1.0], equal_var=equal_var)
-            assert (below.statistic, below.p_value, below.identical_means) == (-np.inf, 0.0, False)
-            assert (above.statistic, above.p_value) == (np.inf, 0.0)
+        below = two_sample_ttest([1.0, 1.0], [2.0, 2.0, 2.0])
+        above = two_sample_ttest([2.0, 2.0, 2.0], [1.0, 1.0])
+        assert (below.statistic, below.p_value, below.identical_means) == (-np.inf, 0.0, False)
+        assert (above.statistic, above.p_value) == (np.inf, 0.0)
 
 
 class TestTTest:
@@ -67,17 +66,6 @@ class TestTTest:
             ref = sps.ttest_ind(a, b)
             assert ours.statistic == pytest.approx(ref.statistic, abs=1e-10)
             assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-10)
-
-    def test_welch_variant(self):
-        from scipy import stats as sps
-
-        rng = np.random.default_rng(3)
-        a = rng.normal(0, 1, size=15)
-        b = rng.normal(0.5, 3, size=40)
-        ours = two_sample_ttest(a, b, equal_var=False)
-        ref = sps.ttest_ind(a, b, equal_var=False)
-        assert ours.statistic == pytest.approx(ref.statistic, abs=1e-10)
-        assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-10)
 
     def test_symmetry(self):
         rng = np.random.default_rng(4)

@@ -167,7 +167,6 @@ class TestTraverse:
             leaf_offsets=np.array([0, 1, 2]),
             leaf_members=np.array([0, 1]),
             leaf_of=np.array([0, 1]),
-            config=TreeConfig(),
         )
         queries = np.array([[-1.0, 5.0], [2.0, -9.0], [0.0, 0.0]])
         # x.r == c goes right
