@@ -38,6 +38,12 @@ RESULT_COLUMNS = (
 
 DEFAULT_FOREST_SIZES = (1, 2, 3, 4, 5, 10, 20, 40, 60, 80, 100)
 
+# generator recipes of --dataset: each key with its default
+RECIPES = {
+    "blobs": {"n": "1000", "d": "2", "centers": "4", "sigma": "1.0", "seed": "0"},
+    "rings": {"n": "500", "radii": "1|5", "noise": "0.05", "seed": "0"},
+}
+
 
 class ConfigError(Exception):
     """Invalid experiment configuration."""
@@ -98,30 +104,21 @@ def parse_dataset_spec(spec: str, args=None) -> Dataset:
     Generator recipes: "blobs:n=1000,d=2,centers=4,sigma=0.6,seed=7" and
     "rings:n=500,radii=1|5,noise=0.05,seed=3".
     """
-    if spec.startswith("blobs:") or spec.startswith("rings:"):
-        kind, _, body = spec.partition(":")
-        params = {}
-        for item in body.split(","):
-            if not item:
-                continue
-            key, _, value = item.partition("=")
-            params[key.strip()] = value.strip()
+    kind, _, body = spec.partition(":")
+    if kind in RECIPES:
+        params = dict(RECIPES[kind])
+        for item in filter(None, body.split(",")):
+            key, _, value = (part.strip() for part in item.partition("="))
+            if key not in params:
+                raise ConfigError(f"bad dataset spec {spec!r}: unknown key {key!r}; {kind} takes {', '.join(params)}")
+            params[key] = value
         try:
             if kind == "blobs":
-                return gen_gaussian_blobs(
-                    n=int(params.get("n", 1000)),
-                    d=int(params.get("d", 2)),
-                    centers=int(params.get("centers", 4)),
-                    sigma=float(params.get("sigma", 1.0)),
-                    seed=int(params.get("seed", 0)),
-                )
-            return gen_concentric_rings(
-                n=int(params.get("n", 500)),
-                radii=[float(r) for r in params.get("radii", "1|5").split("|")],
-                noise_sigma=float(params.get("noise", 0.05)),
-                seed=int(params.get("seed", 0)),
-            )
-        except (ValueError, KeyError) as exc:
+                n, d, centers, seed = (int(params[key]) for key in ("n", "d", "centers", "seed"))
+                return gen_gaussian_blobs(n, d, centers, float(params["sigma"]), seed)
+            radii = [float(r) for r in params["radii"].split("|")]
+            return gen_concentric_rings(int(params["n"]), radii, float(params["noise"]), int(params["seed"]))
+        except ValueError as exc:
             raise ConfigError(f"bad dataset spec {spec!r}: {exc}") from exc
     return load_csv(
         spec,
@@ -310,6 +307,11 @@ def main(argv=None) -> int:
             raise ConfigError("--dataset is required (flag or config file)")
         if not args.out:
             raise ConfigError("--out is required (flag or config file)")
+        out = Path(args.out).resolve()
+        if out.is_dir():
+            raise IsADirectoryError(f"output path is a directory: {out}")
+        if not out.parent.is_dir():
+            raise FileNotFoundError(f"output directory does not exist: {out.parent}")
         data = parse_dataset_spec(args.dataset, args)
         cfg = ExperimentConfig(
             methods=tuple(args.methods),
@@ -328,9 +330,6 @@ def main(argv=None) -> int:
         if ttest and reps < 2 and 1 in cfg.methods and {2, 3, 4} & set(cfg.methods):
             # run_ttest_report would compare cells of fewer than 2 samples
             raise ConfigError(f"the t-test needs >= 2 repetitions per cell, got {reps}")
-        out_dir = Path(args.out).resolve().parent
-        if not out_dir.is_dir():
-            raise FileNotFoundError(f"output directory does not exist: {out_dir}")
 
         rows = run_experiment_grid(data, cfg)
         write_results_csv(rows, args.out)

@@ -2,8 +2,8 @@
 
 One kernel answers all three query paths: route every (query, tree) pair
 together (training points read their stored leaves), pool each query's
-candidates with one sparse (queries x leaves) . (leaves x points) product,
-and keep each row's k nearest by (distance, id), ties going to the smaller id.
+candidates with one sparse (queries x leaves) . (leaves x points) product, and
+keep each row's k nearest by (distance, id) in _search, the oracle's driver too.
 """
 
 from dataclasses import dataclass
@@ -103,12 +103,13 @@ def _spans(counts: np.ndarray, cap: int):
         lo = hi
 
 
-def _pool(forest: RpForest, leaves: np.ndarray) -> scipy.sparse.csr_matrix:
-    """(m, n) candidate pools from (m, T) membership rows: row q holds every
-    point that shares a leaf with query q."""
+def _pool(forest: RpForest, leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) of the (m, n) candidate pools of (m, T)
+    membership rows: row q holds every point that shares a leaf with query q."""
     indptr = np.arange(0, leaves.size + 1, leaves.shape[1])
     shape = (leaves.shape[0], forest.leaf_base[-1])
-    return scipy.sparse.csr_matrix((np.ones(leaves.size, bool), leaves.ravel(), indptr), shape) @ forest.membership
+    pool = scipy.sparse.csr_matrix((np.ones(leaves.size, bool), leaves.ravel(), indptr), shape) @ forest.membership
+    return pool.indptr, pool.indices
 
 
 def nearest(grid, ids, k: int, counts) -> list[NeighborList]:
@@ -140,13 +141,30 @@ def _rank(points, queries, indptr, indices, k: int, self_ids) -> list[NeighborLi
     return nearest(grid, id_grid, k, counts)
 
 
-def _kernel(forest: RpForest, queries, k: int, self_ids=None, leaves=None) -> list[NeighborList]:
-    """The one query path: route (unless leaves are given), pool, rank.
+def _search(points, queries, self_ids, k: int, widths, pool) -> list[NeighborList]:
+    """The one path from queries to ranked rows, for the forest and the oracle:
+    chunks of queries whose widths (bytes held per query while pooled) fit
+    POOL_BYTES over all workers run on parallel_map's threads, and the CSR
+    (indptr, indices) pools that pool(lo, hi) gives are ranked in spans."""
+    budget = POOL_BYTES // core.WORKERS
 
-    Chunks are sized from each query's real candidate counts (before merging
-    for the pooling product, after it for ranking) to stay within POOL_BYTES
-    over all workers; parallel_map runs one task per pooling chunk.
-    """
+    def task(chunk) -> list[NeighborList]:
+        lo, hi = chunk
+        indptr, indices = pool(lo, hi)
+        rows = []
+        for a, b in _spans(np.diff(indptr), budget // (8 * (3 * points.shape[1] + 6))):
+            span = slice(lo + a, lo + b)
+            rows += _rank(points, queries[span], indptr[a : b + 1], indices, k, self_ids[span])
+        return rows
+
+    return [row for part in core.parallel_map(task, _spans(widths, budget)) for row in part]
+
+
+def _kernel(forest: RpForest, queries, k: int, self_ids=None, leaves=None) -> list[NeighborList]:
+    """The forest's query path: route (unless leaves are given), then pool
+    and rank in _search, each query's width being 8 bytes per candidate
+    before merging (the pooling product's input); ranking spans are sized
+    after merging."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     queries = check_queries(queries, forest.data.d)
@@ -162,17 +180,7 @@ def _kernel(forest: RpForest, queries, k: int, self_ids=None, leaves=None) -> li
     order = np.argsort(leaves[:, 0], kind="stable")
     leaves, queries, self_ids = leaves[order], queries[order], self_ids[order]
     merged = (forest.membership.indptr[leaves + 1] - forest.membership.indptr[leaves]).sum(axis=1)
-    budget = POOL_BYTES // core.WORKERS
-
-    def task(chunk) -> list[NeighborList]:
-        lo, hi = chunk
-        pool, rows = _pool(forest, leaves[lo:hi]), []
-        for a, b in _spans(np.diff(pool.indptr), budget // (8 * (3 * forest.data.d + 6))):
-            span = slice(lo + a, lo + b)
-            rows += _rank(forest.data.points, queries[span], pool.indptr[a : b + 1], pool.indices, k, self_ids[span])
-        return rows
-
-    rows = [row for part in core.parallel_map(task, _spans(merged, budget // 8)) for row in part]
+    rows = _search(forest.data.points, queries, self_ids, k, 8 * merged, lambda lo, hi: _pool(forest, leaves[lo:hi]))
     return [rows[i] for i in np.argsort(order).tolist()]
 
 

@@ -1,31 +1,29 @@
-"""Exact brute-force k-nn: ground truth for every metric. Filter, then the
-query kernel's exact ranking.
+"""Exact brute-force k-nn: ground truth for every metric. A Gram-matrix filter
+is the pool source of the forest's search driver, forest._search.
 
-Filter: one BLAS product per block of query rows gives approximate squared
+Filter: one BLAS product per chunk of query rows gives approximate squared
 distances g = |x|^2 + |y|^2 - 2 x.y between the mean-centred query x and
 every mean-centred point y. Every column with g <= kth + tol survives, where
 kth is the row's k-th smallest g (its own id left out) and tol bounds all
-rounding (derived at _rows). Refine: the survivors are a CSR pool ranked by
-forest._rank, the forest query's own differencing distances and (distance,
-id) selection, so the rows are those a scan of every point would give and any
-disagreement with the forest comes from missing candidates. Its independent
-check is tests/reference.py.
+rounding (derived at _rows). The survivors are ranked as a forest query's
+candidates are, so the rows are those a scan of every point would give and
+any disagreement with the forest comes from missing candidates. Its
+independent check is tests/reference.py.
 """
 
 import numpy as np
 
-from . import core
-from .core import Dataset
-from .forest import NeighborList, _rank, _spans
+from .core import Dataset, check_queries, check_self_ids
+from .forest import NeighborList, _search
 
-# the (rows x n) float64 Gram blocks of all workers together; the partition
-# copy and the survivor mask of a block take about as much again
-ORACLE_BYTES = 64 << 20
 _EPS, _TINY, _HUGE = np.finfo(np.float64).eps / 2, np.finfo(np.float64).tiny, np.finfo(np.float64).max / 8
 
 
 def _rows(data: Dataset, queries: np.ndarray, self_ids: np.ndarray, k: int) -> list[NeighborList]:
     """The k nearest points to each query row, without its self id (-1: none).
+
+    The data is centred once per call. Filtering a row holds 17 n bytes, its
+    width in _search: the float64 Gram row, its partition copy, a bool mask.
 
     Why tol = 16 (d + 4) (u sigma + tiny) keeps every true neighbour. Here
     u = 2^-53; gamma_m = m u / (1 - m u) bounds a sum of m products in any
@@ -53,26 +51,27 @@ def _rows(data: Dataset, queries: np.ndarray, self_ids: np.ndarray, k: int) -> l
     """
     centre = data.points.mean(axis=0)
     x, y = queries - centre, data.points - centre
-    own = np.flatnonzero(self_ids >= 0)
     with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow take every column below
         x2, y2 = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
-        g = x @ y.T
-        g *= -2.0
-        g += y2
-        g += x2[:, None]
-        g[own, self_ids[own]] = np.inf
         sigma = x2 + y2.max()
-        kth = np.partition(g, k - 1, axis=1)[:, k - 1]
-        keep = g <= (kth + 16 * (data.d + 4) * (_EPS * sigma + _TINY))[:, None]
-    del g
-    keep[~(sigma <= _HUGE)] = True  # rows that could overflow: every column (_rank drops the self id)
-    row, col = np.nonzero(keep)
-    counts = np.bincount(row, minlength=queries.shape[0])
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    rows = []
-    for a, b in _spans(counts, ORACLE_BYTES // core.WORKERS // (8 * (3 * data.d + 6))):
-        rows += _rank(data.points, queries[a:b], indptr[a : b + 1], col, k, self_ids[a:b])
-    return rows
+        tol = 16 * (data.d + 4) * (_EPS * sigma + _TINY)
+
+    def pool(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        own = np.flatnonzero(self_ids[lo:hi] >= 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = x[lo:hi] @ y.T
+            g *= -2.0
+            g += y2
+            g += x2[lo:hi, None]
+            g[own, self_ids[lo + own]] = np.inf
+            kth = np.partition(g, k - 1, axis=1)[:, k - 1]
+            keep = g <= (kth + tol[lo:hi])[:, None]
+        del g
+        keep[~(sigma[lo:hi] <= _HUGE)] = True  # rows that could overflow: every column (_rank drops the self id)
+        row, col = np.nonzero(keep)
+        return np.concatenate([[0], np.cumsum(np.bincount(row, minlength=hi - lo))]), col
+
+    return _search(data.points, queries, self_ids, k, np.full(queries.shape[0], 17 * data.n), pool)
 
 
 def exact_knn(data: Dataset, x, k: int, self_id: int | None = None) -> NeighborList:
@@ -80,19 +79,12 @@ def exact_knn(data: Dataset, x, k: int, self_id: int | None = None) -> NeighborL
     limit = data.n - 1 if self_id is not None else data.n
     if k < 1 or k > limit:
         raise ValueError(f"k must be in [1, {limit}], got {k}")
-    query = core.check_queries(np.asarray(x, dtype=np.float64)[None], data.d)
-    return _rows(data, query, core.check_self_ids(None if self_id is None else [self_id], 1, data.n), k)[0]
+    query = check_queries(np.asarray(x, dtype=np.float64)[None], data.d)
+    return _rows(data, query, check_self_ids(None if self_id is None else [self_id], 1, data.n), k)[0]
 
 
 def all_true_neighbors(data: Dataset, k: int) -> list[NeighborList]:
-    """exact_knn for every dataset point with self-exclusion, in row chunks
-    whose Gram blocks fit ORACLE_BYTES, at least one chunk per worker, run on
-    parallel_map's threads."""
+    """exact_knn for every dataset point with self-exclusion."""
     if k < 1 or k > data.n - 1:
         raise ValueError(f"k must be in [1, {data.n - 1}], got {k}")
-    step = max(1, min(ORACLE_BYTES // (8 * core.WORKERS * data.n), -(-data.n // core.WORKERS)))
-
-    def chunk(lo: int) -> list[NeighborList]:
-        return _rows(data, data.points[lo : lo + step], data.ids[lo : lo + step], k)
-
-    return [row for rows in core.parallel_map(chunk, range(0, data.n, step)) for row in rows]
+    return _rows(data, data.points, data.ids, k)

@@ -53,6 +53,17 @@ class TestDatasetSpec:
         with pytest.raises(ConfigError):
             parse_dataset_spec("blobs:n=oops")
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("blobs:n=50,sigm=0.1", "unknown key 'sigm'; blobs takes n, d, centers, sigma, seed"),
+            ("rings:n=40,radius=2", "unknown key 'radius'; rings takes n, radii, noise, seed"),
+        ],
+    )
+    def test_unknown_key_named(self, spec, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_dataset_spec(spec)
+
     def test_csv_path(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("0,0\n1,1\n")
@@ -319,6 +330,9 @@ class TestFailFast:
             (None, ["--dataset", BLOBS, "--config", {"noise_sigmas": ["a"]}], 1),  # list of the wrong type
             (None, ["--dataset", BLOBS, "--config", 5], 1),  # not a JSON object
             (None, ["--dataset", BLOBS, "--config", {"leaf_capacity": "20"}], 1),  # scalar of the wrong type
+            (None, ["--dataset", "blobs:n=50,sigm=0.1"], 1),  # unknown recipe key
+            (None, ["--dataset", "rings:n=40,radius=2"], 1),
+            (None, ["--dataset", BLOBS, "--out", "."], 2),  # an existing directory
         ],
     )
     def test_bad_input_gives_one_error_line(self, tmp_path, monkeypatch, capsys, csv_text, flags, code):

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 import rpforest.core
 import rpforest.forest
-import rpforest.oracle
 from rpforest.core import Dataset
 from rpforest.forest import (
     build_forest,
@@ -219,7 +219,7 @@ class TestWorkers:
             rows = query_all_training(forest, 5) + query_batch(forest, queries, 5)
             rows += [query_knn(forest, q, 5, self_id=3) for q in queries[:3]]
         # chunks of 69, 34 or 23 rows for 1, 2 or 3 workers, the last one short
-        with mock.patch.object(rpforest.oracle, "ORACLE_BYTES", 8 * 160 * 69):
+        with mock.patch.object(rpforest.forest, "POOL_BYTES", 17 * 160 * 69):
             rows += all_true_neighbors(data, 5)
         rows += all_true_neighbors(data, 5)
         arrays = [forest.directions, forest.splits, forest.children, forest.node_base, forest.leaf_base]
@@ -249,3 +249,21 @@ class TestWorkers:
             with mock.patch.object(rpforest.forest, "POOL_BYTES", 1 << 14):  # several chunks: the patch is live
                 with pytest.raises(AssertionError, match="thread pool"):
                     query_all_training(forest, 5)
+
+
+class TestWorkingSet:
+    """The query side's memory follows POOL_BYTES, in the forest and in the oracle."""
+
+    @pytest.mark.parametrize("search", ["all_true_neighbors", "query_all_training"])
+    def test_peak_follows_pool_bytes(self, search):
+        data = random_dataset(20, n=2000, d=3)
+        forest = build_forest(data, TreeConfig(), 50, master_seed=21)
+        budget = 2 << 20
+        with mock.patch.object(rpforest.forest, "POOL_BYTES", budget):
+            tracemalloc.start()
+            try:
+                all_true_neighbors(data, 5) if search == "all_true_neighbors" else query_all_training(forest, 5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 3 * budget  # the rows returned take about 0.8 MB of it

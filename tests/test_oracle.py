@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference
 import rpforest.core
-import rpforest.oracle
+import rpforest.forest
 from rpforest.core import Dataset
 from rpforest.forest import nearest
 from rpforest.oracle import all_true_neighbors, exact_knn
@@ -202,8 +202,8 @@ class TestAllTrueNeighbors:
     def test_chunking_does_not_change_results(self):
         pts = np.random.default_rng(5).normal(size=(60, 3))
         ds = Dataset.from_points(pts)
-        # chunks of 7 rows (the last one short), and on one worker one chunk of all 60
-        with mock.patch.object(rpforest.oracle, "ORACLE_BYTES", 8 * 60 * 7 * rpforest.core.WORKERS):
+        # chunks of 7 rows of 17 n bytes (the last one short), and on one worker one chunk of all 60
+        with mock.patch.object(rpforest.forest, "POOL_BYTES", 17 * 60 * 7 * rpforest.core.WORKERS):
             a = all_true_neighbors(ds, 3)
         with mock.patch.object(rpforest.core, "WORKERS", 1):
             b = all_true_neighbors(ds, 3)
