@@ -72,6 +72,11 @@ class ExperimentConfig:
             raise ConfigError(f"forest sizes must be positive, got {self.forest_sizes}")
         if not self.k_values or any(k < 1 for k in self.k_values):
             raise ConfigError(f"k values must be positive, got {self.k_values}")
+        if self.leaf_capacity < 3:
+            raise ConfigError(
+                f"leaf capacity must be >= 3, got {self.leaf_capacity}: below 3 every leaf "
+                "holds one point, so no training point has a candidate besides itself"
+            )
         if max(self.k_values) >= self.leaf_capacity:
             raise ConfigError(
                 f"max k ({max(self.k_values)}) must be below leaf capacity "
@@ -136,6 +141,10 @@ def run_experiment_grid(data: Dataset, cfg: ExperimentConfig) -> list[dict]:
     independent.
     """
     tree_configs = cfg.validate(data.n)
+    with np.errstate(over="ignore"):
+        span = np.ptp(data.points, axis=0)
+        if not np.isfinite(span @ span):
+            raise ConfigError("squared distances of the data overflow float64; rescale the data")
     reps = cfg.effective_repetitions(data.n)
     # rows sorted by (distance, id): each smaller k's rows are prefixes
     widest = all_true_neighbors(data, max(cfg.k_values))

@@ -54,6 +54,8 @@ def load_csv(
             )
         matrix = np.delete(matrix, label_column, axis=1)
     if standardize:
+        if matrix.shape[0] < 2:
+            raise CsvFormatError(f"{path}: standardizing needs at least 2 data rows, got {matrix.shape[0]}")
         matrix = matrix - matrix.mean(axis=0)
         std = matrix.std(axis=0, ddof=1)
         std[std == 0.0] = 1.0

@@ -112,21 +112,10 @@ def _pool(forest: RpForest, leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return pool.indptr, pool.indices
 
 
-def nearest(grid, ids, k: int, counts) -> list[NeighborList]:
-    """Each row's k best (distance, id) pairs. Row i of grid holds counts[i]
-    distances padded with inf, ids (broadcast to grid) their ids; only the
-    entries up to each row's k-th distance, ties included, get sorted."""
-    last = min(k, grid.shape[1]) - 1
-    row, col = np.nonzero(grid <= np.partition(grid, last, axis=1)[:, last, None])  # up to each k-th distance
-    ids, dists = np.broadcast_to(ids, grid.shape)[row, col], grid[row, col]
-    order = np.lexsort((ids, dists, row))
-    ids, dists = ids[order], dists[order]
-    starts = np.searchsorted(row, np.arange(grid.shape[0])).tolist()  # row is sorted: nonzero scans row-major
-    return [NeighborList(ids[s : s + n], dists[s : s + n]) for s, n in zip(starts, np.minimum(counts, k).tolist())]
-
-
 def _rank(points, queries, indptr, indices, k: int, self_ids) -> list[NeighborList]:
-    """The k best (distance, id) pairs of each pool row, minus the row's own id."""
+    """The k best (distance, id) pairs of each pool row, minus the row's own id.
+    Rows padded with inf give each row's k-th distance by partitioning; the
+    flat candidates (in row order) up to it, ties included, get sorted."""
     m = queries.shape[0]
     row = np.repeat(np.arange(m), np.diff(indptr))
     ids = indices[indptr[0] : indptr[-1]].astype(np.intp)
@@ -134,11 +123,16 @@ def _rank(points, queries, indptr, indices, k: int, self_ids) -> list[NeighborLi
     ids, row = ids[keep], row[keep]
     counts = np.bincount(row, minlength=m)
     diffs = points[ids] - queries[row]
-    shape = (m, max(1, int(counts.max(initial=0))))  # rows padded to the longest
-    cell = (row, np.arange(ids.size) - np.repeat(np.cumsum(counts) - counts, counts))
-    grid, id_grid = np.full(shape, np.inf), np.full(shape, np.iinfo(np.intp).max)  # padding sorts last
-    grid[cell], id_grid[cell] = np.sqrt(np.einsum("ij,ij->i", diffs, diffs)), ids
-    return nearest(grid, id_grid, k, counts)
+    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    grid = np.full((m, max(1, int(counts.max(initial=0)))), np.inf)  # rows padded to the longest
+    grid[row, np.arange(ids.size) - np.repeat(np.cumsum(counts) - counts, counts)] = dists
+    last = min(k, grid.shape[1]) - 1
+    pick = dists <= np.partition(grid, last, axis=1)[row, last]  # up to each k-th distance
+    row, ids, dists = row[pick], ids[pick], dists[pick]
+    order = np.lexsort((ids, dists, row))
+    ids, dists = ids[order], dists[order]
+    starts = np.searchsorted(row, np.arange(m)).tolist()  # row stays sorted
+    return [NeighborList(ids[s : s + n], dists[s : s + n]) for s, n in zip(starts, np.minimum(counts, k).tolist())]
 
 
 def _search(points, queries, self_ids, k: int, widths, pool) -> list[NeighborList]:

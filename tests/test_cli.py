@@ -333,6 +333,9 @@ class TestFailFast:
             (None, ["--dataset", "blobs:n=50,sigm=0.1"], 1),  # unknown recipe key
             (None, ["--dataset", "rings:n=40,radius=2"], 1),
             (None, ["--dataset", BLOBS, "--out", "."], 2),  # an existing directory
+            (None, ["--dataset", BLOBS, "--k", "1", "--leaf-capacity", "2"], 1),  # one point per leaf
+            ("1e160,1\n-1e160,2\n0,3\n5,4\n6,5\n", [], 1),  # squared distances overflow
+            ("5,1\n", ["--standardize"], 1),  # one row has no sample std
         ],
     )
     def test_bad_input_gives_one_error_line(self, tmp_path, monkeypatch, capsys, csv_text, flags, code):

@@ -10,7 +10,6 @@ import reference
 import rpforest.core
 import rpforest.forest
 from rpforest.core import Dataset
-from rpforest.forest import nearest
 from rpforest.oracle import all_true_neighbors, exact_knn
 
 
@@ -76,22 +75,19 @@ def assert_same_row(found, expected):
 @settings(max_examples=200, deadline=None)
 @given(oracle_cases())
 def test_oracle_matches_full_stable_sort(case):
-    """Both oracle paths and the shared selection rule equal a full stable
-    argsort over every id except the query's own, bit for bit."""
+    """Both oracle paths and the shared ranker, forest._rank, equal a full
+    stable argsort over every id except the query's own, bit for bit."""
     data, x, k, self_id, order = case
     others = data.ids if self_id is None else np.delete(data.ids, self_id)
     assert_same_row(exact_knn(data, x, k, self_id), reference.rank(data, others, x, k))
     expected = [reference.rank(data, np.delete(data.ids, i), data.points[i], k) for i in range(data.n)]
     for found, ref in zip(all_true_neighbors(data, k), expected, strict=True):
         assert_same_row(found, ref)
-    # the rule does not lean on candidates arriving in id order; the own id is
-    # dropped, not set to inf, since huge data has distances of inf
-    others = ~np.eye(data.n, dtype=bool)
-    diffs = data.points[None, :, :] - data.points[:, None, :]
-    grid = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))[others].reshape(data.n, -1)
-    ids = np.broadcast_to(data.ids, others.shape)[others].reshape(data.n, -1)
-    cols = order[order < data.n - 1]
-    shuffled = nearest(grid[:, cols], ids[:, cols], k, np.full(data.n, k))
+    # the ranker does not lean on candidates arriving in id order: each row's
+    # pool is every id in the drawn order, own id included, and _rank drops it
+    indices = np.tile(order, data.n)
+    indptr = np.arange(0, indices.size + 1, data.n)
+    shuffled = rpforest.forest._rank(data.points, data.points, indptr, indices, k, data.ids)
     for found, ref in zip(shuffled, expected, strict=True):
         assert_same_row(found, ref)
 

@@ -18,22 +18,26 @@ from rpforest.tree import Leaf, TreeConfig, assign_leaves, build_tree
 
 @st.composite
 def forests(draw):
-    """Small forests over continuous, integer-grid (exact distance ties) or
-    duplicate-heavy (forced leaves) data; some capacities exceed n, so the
-    whole forest is one leaf per tree. Returns (forest, queries, k, kind)."""
+    """Small forests over continuous, integer-grid (exact distance ties),
+    duplicate-heavy (forced leaves) or huge data (near 1e200, where every
+    distance is inf; method 1 only, as the others' dispersions overflow);
+    some capacities exceed n, so the whole forest is one leaf per tree.
+    Returns (forest, queries, k, kind)."""
     n = draw(st.integers(2, 50))
     d = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["continuous", "grid", "duplicates"]))
+    kind = draw(st.sampled_from(["continuous", "grid", "duplicates", "huge"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "continuous":
         points = rng.normal(size=(n, d))
     elif kind == "grid":
         points = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    elif kind == "huge":
+        points = 1e200 * rng.normal(size=(n, d))
     else:
         distinct = rng.normal(size=(draw(st.integers(1, 3)), d))
         points = distinct[rng.integers(0, distinct.shape[0], size=n)]
     capacity = draw(st.sampled_from([2, 3, 5, n + 1]))
-    method = draw(st.sampled_from(list(Method)))
+    method = Method.RANDOM_DIRECTION if kind == "huge" else draw(st.sampled_from(list(Method)))
     cfg = TreeConfig(leaf_capacity=capacity, strategy=StrategyConfig(method=method))
     forest = build_forest(Dataset.from_points(points), cfg, draw(st.integers(1, 5)), int(rng.integers(2**32)))
     queries = np.concatenate([points[: draw(st.integers(0, n))], rng.integers(-3, 4, size=(draw(st.integers(1, 6)), d))])
