@@ -47,17 +47,21 @@ def load_csv(
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     matrix = np.asarray(rows, dtype=np.float64)
+    columns = np.arange(matrix.shape[1])  # CSV column of each feature
     if label_column is not None:
         if not -matrix.shape[1] <= label_column < matrix.shape[1]:
             raise CsvFormatError(
                 f"{path}: label column {label_column} out of range for {matrix.shape[1]} columns"
             )
-        matrix = np.delete(matrix, label_column, axis=1)
+        matrix, columns = np.delete(matrix, label_column, axis=1), np.delete(columns, label_column)
     if standardize:
         if matrix.shape[0] < 2:
             raise CsvFormatError(f"{path}: standardizing needs at least 2 data rows, got {matrix.shape[0]}")
-        matrix = matrix - matrix.mean(axis=0)
-        std = matrix.std(axis=0, ddof=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            matrix = matrix - matrix.mean(axis=0)
+            std = matrix.std(axis=0, ddof=1)
+        if not np.isfinite(std).all():
+            raise CsvFormatError(f"{path}: standardizing column {columns[~np.isfinite(std)][0]} overflows; rescale it")
         std[std == 0.0] = 1.0
         matrix = matrix / std
     return Dataset.from_points(matrix)

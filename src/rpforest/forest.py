@@ -11,11 +11,12 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse import _sparsetools
 
 from . import core
 from .core import Dataset, check_queries, check_self_ids
 # build_tree stays importable from here: the benchmark's tracer wraps rpforest.forest.build_tree
-from .tree import RpTree, TreeConfig, build_tree, build_trees, route, tree_views  # noqa: F401
+from .tree import RpTree, TreeConfig, build_tree, build_trees, route, routing_table, tree_views  # noqa: F401
 
 POOL_BYTES = 16 << 20  # working-set budget of the query chunks of all workers together
 # budget of the points one group of trees gathers per level: a group shares
@@ -58,6 +59,9 @@ class RpForest:
         table = (self.directions, self.splits, self.children, self.node_base, self.leaf_base)
         return tree_views(*table, csr.indptr, csr.indices, self.leaf_of)
 
+    # the router's table, made on first routed query
+    routes = cached_property(lambda f: routing_table(f.directions, f.splits, f.children, f.node_base, f.leaf_base))
+
 
 def build_forest(
     data: Dataset,
@@ -94,22 +98,29 @@ def build_forest(
 
 def _spans(counts: np.ndarray, cap: int):
     """Consecutive row ranges [lo, hi) holding at most cap entries when padded
-    to their longest row; a row longer than cap gets a range of its own."""
+    to their longest row; a row longer than cap gets a range of its own. The
+    rows left are cut evenly into as many ranges as a greedy cut from lo needs."""
     lo = 0
     while lo < counts.size:
         width = np.maximum.accumulate(np.maximum(counts[lo : lo + cap], 1))
-        hi = lo + max(1, int(np.searchsorted(width * np.arange(1, width.size + 1), cap, side="right")))
+        most = max(1, int(np.searchsorted(width * np.arange(1, width.size + 1), cap, side="right")))
+        rest = counts.size - lo
+        hi = lo + -(-rest // -(-rest // most))
         yield lo, hi
         lo = hi
 
 
 def _pool(forest: RpForest, leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, indices) of the (m, n) candidate pools of (m, T)
-    membership rows: row q holds every point that shares a leaf with query q."""
-    indptr = np.arange(0, leaves.size + 1, leaves.shape[1])
-    shape = (leaves.shape[0], forest.leaf_base[-1])
-    pool = scipy.sparse.csr_matrix((np.ones(leaves.size, bool), leaves.ravel(), indptr), shape) @ forest.membership
-    return pool.indptr, pool.indices
+    membership rows: row q holds every point that shares a leaf with query q.
+    scipy's compiled CSR product runs bare: for one query its wrappers cost more."""
+    csr, (m, n_trees) = forest.membership, leaves.shape
+    ind = leaves.astype(csr.indices.dtype).ravel()  # the kernels take one index dtype
+    lhs = (np.arange(0, ind.size + 1, n_trees, dtype=ind.dtype), ind)  # (queries x leaves) indptr, indices
+    nnz = _sparsetools.csr_matmat_maxnnz(m, forest.data.n, *lhs, csr.indptr, csr.indices)
+    out = (np.empty(m + 1, ind.dtype), np.empty(nnz, ind.dtype), np.empty(nnz, bool))  # the pools' CSR
+    _sparsetools.csr_matmat(m, forest.data.n, *lhs, np.ones(ind.size, bool), csr.indptr, csr.indices, csr.data, *out)
+    return out[:2]
 
 
 def _rank(points, queries, indptr, indices, k: int, self_ids) -> list[NeighborList]:
@@ -122,7 +133,7 @@ def _rank(points, queries, indptr, indices, k: int, self_ids) -> list[NeighborLi
     keep = ids != self_ids[row]
     ids, row = ids[keep], row[keep]
     counts = np.bincount(row, minlength=m)
-    diffs = points[ids] - queries[row]
+    diffs = points.take(ids, axis=0) - queries.take(row, axis=0)
     dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
     grid = np.full((m, max(1, int(counts.max(initial=0)))), np.inf)  # rows padded to the longest
     grid[row, np.arange(ids.size) - np.repeat(np.cumsum(counts) - counts, counts)] = dists
@@ -166,9 +177,7 @@ def _kernel(forest: RpForest, queries, k: int, self_ids=None, leaves=None) -> li
     self_ids = check_self_ids(self_ids, m, forest.data.n)
     if leaves is None:  # route in blocks whose gathered points and directions fit the budget
         step = max(1, POOL_BYTES // (16 * forest.data.d * (forest.node_base.size - 1)))
-        table = (forest.directions, forest.splits, forest.children, forest.node_base)
-        leaves = np.concatenate([route(*table, queries[lo : lo + step]) for lo in range(0, max(m, 1), step)])
-        leaves += forest.leaf_base[:-1]
+        leaves = np.concatenate([route(*forest.routes, queries[lo : lo + step]) for lo in range(0, max(m, 1), step)])
     # queries sharing a first-tree leaf share most candidates: taken together
     # they keep a chunk's gathered points in cache
     order = np.argsort(leaves[:, 0], kind="stable")

@@ -3,10 +3,11 @@
 Internal node j projects onto directions[j], splits at splits[j] and has
 child codes children[j] = (left, right): code c >= 0 is internal node c, code
 c < 0 is leaf ~c, whose members are leaf_members[leaf_offsets[~c]:...]. The
-build writes these arrays for a whole forest; an RpTree views one tree. Routing
-reuses the build's comparison (x.r < c goes left) and its projection, an
-einsum whose value for a row does not depend on the rows computed with it, so
-every training point routes back to its own leaf.
+build writes these arrays for a whole forest; an RpTree views one tree. The
+router steps all (point, tree) pairs together through routing_table's global
+rows, eight numpy calls a level, until every row is a leaf row. It splits as
+the build does (x.r < c goes left) with the build's einsum, whose value for a
+row does not depend on the rows computed with it, so training points route home.
 """
 
 from dataclasses import dataclass, field
@@ -234,23 +235,29 @@ def _assemble(data: Dataset, perm, nodes, leaves):
     return *rows, np.diff(node_base), np.diff(leaf_base), leaf_size[leaf_order], members, leaf_of.reshape(n_trees, n)
 
 
-def route(directions, splits, children, node_base, points) -> np.ndarray:
-    """(m, T) leaf index of every (point, tree) pair, all pairs descending
-    together one tree level per step. Tree t's internal nodes are rows
-    node_base[t]:node_base[t + 1] of the node arrays; child codes are local."""
-    n_trees = node_base.size - 1
-    code = np.tile(np.where(np.diff(node_base) > 0, 0, -1), points.shape[0])
-    pair = np.flatnonzero(code >= 0)
-    while pair.size:
-        row = node_base[pair % n_trees] + code[pair]
-        proj = np.einsum("ij,ij->i", points[pair // n_trees], directions[row])
-        code[pair] = children[row, (proj >= splits[row]).astype(np.intp)]
-        pair = pair[code[pair] >= 0]
-    return (~code).reshape(points.shape[0], n_trees)
+def routing_table(directions, splits, children, node_base, leaf_base) -> tuple:
+    """route's table of a forest's node rows: their directions and splits, row
+    r's two child rows at 2r and 2r + 1, and each tree's root row. Leaf l of
+    tree t is row n_internal + leaf_base[t] + l, its own two children."""
+    n_int = splits.size
+    tree = np.repeat(np.arange(node_base.size - 1), np.diff(node_base))[:, None]
+    child = np.where(children >= 0, node_base[tree] + children, n_int + leaf_base[tree] + ~children)
+    root = np.where(np.diff(node_base) > 0, node_base[:-1], n_int + leaf_base[:-1])
+    return directions, splits, np.concatenate([child.ravel(), np.arange(n_int, n_int + leaf_base[-1]).repeat(2)]), root
+
+
+def route(directions, splits, child, root, points) -> np.ndarray:
+    """(m, T) forest-wide leaf index of every (point, tree) pair; a pair at a
+    leaf row gathers a clipped direction and split and steps to itself."""
+    row, x, n_int = np.tile(root, points.shape[0]), np.repeat(points, root.size, axis=0), splits.size
+    while row.min(initial=n_int) < n_int:
+        proj = np.einsum("ij,ij->i", x, directions.take(row, axis=0, mode="clip"))
+        row = child.take(2 * row + (proj >= splits.take(row, mode="clip")))
+    return (row - n_int).reshape(points.shape[0], root.size)
 
 
 def assign_leaves(tree: RpTree, points: np.ndarray) -> np.ndarray:
     """Route a batch of query points; returns the leaf index for each row."""
     points = check_queries(points, tree.directions.shape[1])
-    base = np.array([0, tree.splits.size])
-    return route(tree.directions, tree.splits, tree.children, base, points)[:, 0]
+    bases = np.array([0, tree.splits.size]), np.array([0, tree.leaf_offsets.size - 1])
+    return route(*routing_table(tree.directions, tree.splits, tree.children, *bases), points)[:, 0]

@@ -3,11 +3,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rpforest.core
 import rpforest.forest
 from rpforest.core import Dataset
 from rpforest.forest import (
+    _spans,
     build_forest,
     query_all_training,
     query_batch,
@@ -218,7 +221,7 @@ class TestWorkers:
             forest = build_forest(data, cfg, 7, master_seed=9)
             rows = query_all_training(forest, 5) + query_batch(forest, queries, 5)
             rows += [query_knn(forest, q, 5, self_id=3) for q in queries[:3]]
-        # chunks of 69, 34 or 23 rows for 1, 2 or 3 workers, the last one short
+        # at most 69, 34 or 23 rows a chunk for 1, 2 or 3 workers: 3, 5 or 7 chunks of near-equal size
         with mock.patch.object(rpforest.forest, "POOL_BYTES", 17 * 160 * 69):
             rows += all_true_neighbors(data, 5)
         rows += all_true_neighbors(data, 5)
@@ -267,3 +270,24 @@ class TestWorkingSet:
             finally:
                 tracemalloc.stop()
         assert peak < 3 * budget  # the rows returned take about 0.8 MB of it
+
+
+class TestSpans:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 40), max_size=60).map(lambda c: np.array(c, dtype=np.intp)), st.integers(1, 300))
+    def test_ranges_cover_rows_within_cap(self, counts, cap):
+        spans = list(_spans(counts, cap))
+        assert [lo for lo, _ in spans] + [counts.size] == [0] + [hi for _, hi in spans]
+        for lo, hi in spans:
+            assert hi > lo
+            # padded to the longest row, a range fits cap unless one row alone exceeds it
+            assert hi - lo == 1 or (hi - lo) * max(1, counts[lo:hi].max()) <= cap
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3000), st.integers(0, 50), st.integers(1, 5000))
+    @example(rows=1000, count=17 * 1000, cap=(16 << 20) // 2)  # the oracle on 1000 points, two workers
+    def test_uniform_counts_give_greedy_count_of_even_ranges(self, rows, count, cap):
+        sizes = [hi - lo for lo, hi in _spans(np.full(rows, count), cap)]
+        most = max(1, cap // max(1, count))  # rows a greedy cut puts in a range
+        assert len(sizes) == -(-rows // most)
+        assert max(sizes) - min(sizes) <= 1

@@ -4,13 +4,15 @@ query kernel and the metrics against the references in reference.py."""
 from unittest import mock
 
 import numpy as np
+import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
 import rpforest.forest
 from rpforest.core import Dataset
-from rpforest.forest import NeighborList, build_forest, query_all_training, query_batch, query_knn
+from rpforest.forest import NeighborList, RpForest, build_forest, query_all_training, query_batch, query_knn
 from rpforest.metrics import distance_error, missing_rate
 from rpforest.strategies import Method, StrategyConfig
 from rpforest.tree import Leaf, TreeConfig, assign_leaves, build_tree
@@ -72,6 +74,41 @@ def test_assign_leaves_routes_training_points_home(case):
     forest, queries, _, _ = case
     for tree in forest.trees:
         np.testing.assert_array_equal(assign_leaves(tree, forest.data.points), tree.leaf_of)
+        np.testing.assert_array_equal(assign_leaves(tree, queries), reference.route_recursive(tree, queries))
+
+
+def stacked_forest(data, capacities, seed) -> RpForest:
+    """A forest table assembled by hand from trees built alone, one per
+    capacity; a capacity above n gives a single-leaf tree, with no node rows."""
+    rngs = np.random.default_rng(seed).spawn(len(capacities))
+    trees = [build_tree(data, TreeConfig(leaf_capacity=c), rng) for c, rng in zip(capacities, rngs)]
+    node_base = np.cumsum([0] + [tree.splits.size for tree in trees])
+    leaf_base = np.cumsum([0] + [tree.leaf_offsets.size - 1 for tree in trees])
+    indptr = np.concatenate([[0]] + [tree.leaf_offsets[1:] + t * data.n for t, tree in enumerate(trees)])
+    members = np.concatenate([tree.leaf_members for tree in trees])
+    membership = scipy.sparse.csr_matrix((np.ones(members.size, bool), members, indptr), (leaf_base[-1], data.n))
+    rows = [np.concatenate([getattr(tree, a) for tree in trees]) for a in ("directions", "splits", "children")]
+    leaf_of = np.stack([tree.leaf_of for tree in trees])
+    return RpForest(TreeConfig(), data, seed, *rows, node_base, leaf_base, membership, leaf_of)
+
+
+@pytest.mark.parametrize(
+    "capacities, m",
+    [
+        ([3, 5], 0),  # an empty batch
+        ([41, 41, 41], 25),  # every tree a single leaf: no node rows at all
+        ([41, 3, 41, 5], 25),  # single-leaf trees between split trees
+    ],
+)
+def test_routing_table_edge_cases(capacities, m):
+    data = Dataset.from_points(np.random.default_rng(3).normal(size=(40, 2)))
+    queries = np.random.default_rng(4).normal(size=(m, 2))
+    forest = stacked_forest(data, capacities, 5)
+    expected = reference.query(forest, queries, 4)
+    assert_same_rows(query_batch(forest, queries, 4), expected)
+    assert_same_rows([query_knn(forest, q, 4) for q in queries], expected)
+    assert_same_rows(query_all_training(forest, 4), reference.query_all_training(forest, 4))
+    for tree in forest.trees:
         np.testing.assert_array_equal(assign_leaves(tree, queries), reference.route_recursive(tree, queries))
 
 
