@@ -6,6 +6,7 @@ table, so all methods are measured against identical ground truth.
 """
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Dataset
-from .data import CsvFormatError, gen_concentric_rings, gen_gaussian_blobs, load_csv
+from .data import gen_concentric_rings, gen_gaussian_blobs, load_csv
 from .forest import NeighborList, build_forest, query_all_training
 from .metrics import distance_error, missing_rate
 from .oracle import all_true_neighbors
@@ -36,8 +37,6 @@ RESULT_COLUMNS = (
     "seed",
 )
 
-DEFAULT_FOREST_SIZES = (1, 2, 3, 4, 5, 10, 20, 40, 60, 80, 100)
-
 # generator recipes of --dataset: each key with its default
 RECIPES = {
     "blobs": {"n": "1000", "d": "2", "centers": "4", "sigma": "1.0", "seed": "0"},
@@ -45,24 +44,31 @@ RECIPES = {
 }
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+# argparse dest of each grid flag -> its ExperimentConfig field
+GRID_FLAGS = {
+    "methods": "methods", "trees": "forest_sizes", "k": "k_values", "leaf_capacity": "leaf_capacity",
+    "ntry": "n_try", "noise_sigmas": "noise_sigmas", "reps": "repetitions", "seed": "master_seed",
+}
 
 
 @dataclass
 class ExperimentConfig:
     methods: tuple[int, ...] = (1, 2, 3, 4)
-    forest_sizes: tuple[int, ...] = DEFAULT_FOREST_SIZES
+    forest_sizes: tuple[int, ...] = (1, 2, 3, 4, 5, 10, 20, 40, 60, 80, 100)
     k_values: tuple[int, ...] = (5,)
-    leaf_capacity: int = 20
-    n_try: int = 3
-    noise_sigmas: tuple[float, ...] = (0.1, 0.01)
+    leaf_capacity: int = TreeConfig.leaf_capacity
+    n_try: int = StrategyConfig.n_try
+    noise_sigmas: tuple[float, ...] = StrategyConfig.noise_sigmas
     repetitions: int | None = None  # None: 100 for n <= 2000, else 10
     master_seed: int = 0
     include_timings: bool = True
 
     def validate(self, n: int | None = None) -> dict[int, TreeConfig]:
-        """Raise ConfigError for an invalid grid; with n, also check k against it.
+        """Raise ValueError for an invalid grid; with n, also check k against it.
 
         Returns the tree configuration of every method of the grid.
         """
@@ -72,6 +78,9 @@ class ExperimentConfig:
             raise ConfigError(f"forest sizes must be positive, got {self.forest_sizes}")
         if not self.k_values or any(k < 1 for k in self.k_values):
             raise ConfigError(f"k values must be positive, got {self.k_values}")
+        for flag, values in (("--methods", self.methods), ("--trees", self.forest_sizes), ("--k", self.k_values)):
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{flag} must not repeat a value, got {values}")
         if self.leaf_capacity < 3:
             raise ConfigError(
                 f"leaf capacity must be >= 3, got {self.leaf_capacity}: below 3 every leaf "
@@ -84,27 +93,31 @@ class ExperimentConfig:
             )
         if self.repetitions is not None and self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.master_seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {self.master_seed}")
         if n is not None and max(self.k_values) > n - 1:
             raise ConfigError(f"max k ({max(self.k_values)}) must be at most n - 1 ({n - 1})")
-        try:
-            return {
-                method: TreeConfig(
-                    leaf_capacity=self.leaf_capacity,
-                    strategy=StrategyConfig(method=method, n_try=self.n_try, noise_sigmas=self.noise_sigmas),
-                )
-                for method in self.methods
-            }
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return {
+            method: TreeConfig(
+                leaf_capacity=self.leaf_capacity,
+                strategy=StrategyConfig(method=method, n_try=self.n_try, noise_sigmas=self.noise_sigmas),
+            )
+            for method in self.methods
+        }
 
     def effective_repetitions(self, n: int) -> int:
         if self.repetitions is not None:
             return self.repetitions
         return 100 if n <= 2000 else 10
 
+    def cells(self) -> list[tuple[int, int, int]]:
+        """The grid's (method, T, k) cells, in the order of its rows."""
+        return list(itertools.product(self.methods, self.forest_sizes, self.k_values))
 
-def parse_dataset_spec(spec: str, args=None) -> Dataset:
-    """Build a Dataset from a spec string: a CSV path or a generator recipe.
+
+def parse_dataset_spec(spec: str, **csv_options) -> Dataset:
+    """Build a Dataset from a spec string: a CSV path (read by load_csv with
+    csv_options) or a generator recipe.
 
     Generator recipes: "blobs:n=1000,d=2,centers=4,sigma=0.6,seed=7" and
     "rings:n=500,radii=1|5,noise=0.05,seed=3".
@@ -125,12 +138,7 @@ def parse_dataset_spec(spec: str, args=None) -> Dataset:
             return gen_concentric_rings(int(params["n"]), radii, float(params["noise"]), int(params["seed"]))
         except ValueError as exc:
             raise ConfigError(f"bad dataset spec {spec!r}: {exc}") from exc
-    return load_csv(
-        spec,
-        has_header=getattr(args, "csv_header", False),
-        label_column=getattr(args, "label_column", None),
-        standardize=getattr(args, "standardize", False),
-    )
+    return load_csv(spec, **csv_options)
 
 
 def run_experiment_grid(data: Dataset, cfg: ExperimentConfig) -> list[dict]:
@@ -149,14 +157,8 @@ def run_experiment_grid(data: Dataset, cfg: ExperimentConfig) -> list[dict]:
     # rows sorted by (distance, id): each smaller k's rows are prefixes
     widest = all_true_neighbors(data, max(cfg.k_values))
     truth = {k: [NeighborList(row.ids[:k], row.distances[:k]) for row in widest] for k in cfg.k_values}
-    cells = [
-        (method, n_trees, k)
-        for method in cfg.methods
-        for n_trees in cfg.forest_sizes
-        for k in cfg.k_values
-    ]
     rows = []
-    for cell_index, (method, n_trees, k) in enumerate(cells):
+    for cell_index, (method, n_trees, k) in enumerate(cfg.cells()):
         for rep in range(reps):
             ss = np.random.SeedSequence(cfg.master_seed, spawn_key=(cell_index, rep))
             seed_id = int(ss.generate_state(1)[0])
@@ -167,20 +169,9 @@ def run_experiment_grid(data: Dataset, cfg: ExperimentConfig) -> list[dict]:
             t2 = time.perf_counter()
             m_bar, _ = missing_rate(truth[k], found, k)
             d_bar, _ = distance_error(truth[k], found, k)
-            rows.append(
-                {
-                    "method": method,
-                    "T": n_trees,
-                    "k": k,
-                    "n0": cfg.leaf_capacity,
-                    "repetition": rep,
-                    "missing_rate": m_bar,
-                    "distance_error": d_bar,
-                    "build_ms": (t1 - t0) * 1e3 if cfg.include_timings else 0.0,
-                    "query_ms": (t2 - t1) * 1e3 if cfg.include_timings else 0.0,
-                    "seed": seed_id,
-                }
-            )
+            timings = ((t1 - t0) * 1e3, (t2 - t1) * 1e3) if cfg.include_timings else (0.0, 0.0)
+            values = (method, n_trees, k, cfg.leaf_capacity, rep, m_bar, d_bar, *timings, seed_id)
+            rows.append(dict(zip(RESULT_COLUMNS, values)))
     return rows
 
 
@@ -208,34 +199,27 @@ def run_ttest_report(rows: list[dict], t_threshold: int) -> list[dict]:
     identical-means marker."""
     samples: dict[tuple, list[float]] = {}
     for row in rows:
-        samples.setdefault((row["method"], row["T"], row["k"]), []).append(row["missing_rate"])
+        samples.setdefault((row["T"], row["k"], row["method"]), []).append(row["missing_rate"])
     report = []
-    t_values = sorted({row["T"] for row in rows if row["T"] > t_threshold})
-    k_values = sorted({row["k"] for row in rows})
-    for n_trees in t_values:
-        for k in k_values:
-            baseline = samples.get((1, n_trees, k))
-            if baseline is None:
-                continue
-            for method in (2, 3, 4):
-                other = samples.get((method, n_trees, k))
-                if other is None:
-                    continue
-                if len(baseline) < 2 or len(other) < 2:
-                    raise ConfigError(
-                        f"need >= 2 repetitions per cell for the t-test, "
-                        f"got {len(baseline)} and {len(other)} at T={n_trees}"
-                    )
-                result = two_sample_ttest(baseline, other)
-                report.append(
-                    {
-                        "T": n_trees,
-                        "k": k,
-                        "method": method,
-                        "statistic": "-" if result.identical_means else format_float(result.statistic),
-                        "p_value": "-" if result.identical_means else format_float(result.p_value),
-                    }
-                )
+    for (n_trees, k, method), other in sorted(samples.items()):
+        baseline = samples.get((n_trees, k, 1))
+        if n_trees <= t_threshold or method not in (2, 3, 4) or baseline is None:
+            continue
+        if len(baseline) < 2 or len(other) < 2:
+            raise ConfigError(
+                f"need >= 2 repetitions per cell for the t-test, "
+                f"got {len(baseline)} and {len(other)} at T={n_trees}"
+            )
+        result = two_sample_ttest(baseline, other)
+        report.append(
+            {
+                "T": n_trees,
+                "k": k,
+                "method": method,
+                "statistic": "-" if result.identical_means else format_float(result.statistic),
+                "p_value": "-" if result.identical_means else format_float(result.p_value),
+            }
+        )
     return report
 
 
@@ -286,14 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--csv-header", action="store_true", help="CSV has a header row")
     parser.add_argument("--label-column", type=int, help="CSV column index to drop")
     parser.add_argument("--standardize", action="store_true", help="z-score each feature")
-    parser.add_argument("--methods", type=int, nargs="+", default=[1, 2, 3, 4])
-    parser.add_argument("--trees", type=int, nargs="+", default=list(DEFAULT_FOREST_SIZES))
-    parser.add_argument("--k", type=int, nargs="+", default=[5])
-    parser.add_argument("--leaf-capacity", type=int, default=20)
-    parser.add_argument("--ntry", type=int, default=3)
-    parser.add_argument("--noise-sigmas", type=float, nargs="+", default=[0.1, 0.01])
+    # grid flags have no defaults here: an unset flag leaves ExperimentConfig's
+    parser.add_argument("--methods", type=int, nargs="+")
+    parser.add_argument("--trees", type=int, nargs="+")
+    parser.add_argument("--k", type=int, nargs="+")
+    parser.add_argument("--leaf-capacity", type=int)
+    parser.add_argument("--ntry", type=int)
+    parser.add_argument("--noise-sigmas", type=float, nargs="+")
     parser.add_argument("--reps", type=int, help="repetitions per cell (default 100, 10 if n > 2000)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", required=False, help="output CSV path")
     parser.add_argument(
         "--ttest-threshold",
@@ -312,33 +297,26 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = _apply_config_file(parser, list(sys.argv[1:] if argv is None else argv))
-        if not args.dataset:
-            raise ConfigError("--dataset is required (flag or config file)")
-        if not args.out:
-            raise ConfigError("--out is required (flag or config file)")
+        for dest in ("dataset", "out"):
+            if not getattr(args, dest):
+                raise ConfigError(f"--{dest} is required (flag or config file)")
         out = Path(args.out).resolve()
         if out.is_dir():
             raise IsADirectoryError(f"output path is a directory: {out}")
         if not out.parent.is_dir():
             raise FileNotFoundError(f"output directory does not exist: {out.parent}")
-        data = parse_dataset_spec(args.dataset, args)
+        data = parse_dataset_spec(
+            args.dataset, has_header=args.csv_header, label_column=args.label_column, standardize=args.standardize
+        )
+        given = {field: getattr(args, dest) for dest, field in GRID_FLAGS.items()}
         cfg = ExperimentConfig(
-            methods=tuple(args.methods),
-            forest_sizes=tuple(args.trees),
-            k_values=tuple(args.k),
-            leaf_capacity=args.leaf_capacity,
-            n_try=args.ntry,
-            noise_sigmas=tuple(args.noise_sigmas),
-            repetitions=args.reps,
-            master_seed=args.seed,
+            **{field: tuple(v) if isinstance(v, list) else v for field, v in given.items() if v is not None},
             include_timings=not args.no_timings,
         )
         cfg.validate(data.n)
-        reps = cfg.effective_repetitions(data.n)
-        ttest = args.ttest_threshold is not None and max(cfg.forest_sizes) > args.ttest_threshold
-        if ttest and reps < 2 and 1 in cfg.methods and {2, 3, 4} & set(cfg.methods):
-            # run_ttest_report would compare cells of fewer than 2 samples
-            raise ConfigError(f"the t-test needs >= 2 repetitions per cell, got {reps}")
+        if args.ttest_threshold is not None:  # a dry run on the grid's cells: the report's own checks fail now
+            cells = [{"method": m, "T": t, "k": k, "missing_rate": 0.0} for m, t, k in cfg.cells()]
+            run_ttest_report(cells * cfg.effective_repetitions(data.n), args.ttest_threshold)
 
         rows = run_experiment_grid(data, cfg)
         write_results_csv(rows, args.out)
@@ -348,7 +326,7 @@ def main(argv=None) -> int:
             print("T,k,method,statistic,p_value")
             for row in report:
                 print(f"{row['T']},{row['k']},{row['method']},{row['statistic']},{row['p_value']}")
-    except (ConfigError, CsvFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, OSError) else 1
     return 0

@@ -7,7 +7,7 @@ import numpy as np
 from .core import Dataset
 
 
-class CsvFormatError(Exception):
+class CsvFormatError(ValueError):
     """Malformed CSV: ragged rows or non-numeric cells."""
 
 

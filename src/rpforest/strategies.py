@@ -36,8 +36,8 @@ class StrategyConfig:
         if self.n_try < 1:
             raise ValueError(f"n_try must be >= 1, got {self.n_try}")
         sigmas = tuple(self.noise_sigmas)
-        if any(s <= 0 for s in sigmas):
-            raise ValueError(f"noise sigmas must be positive, got {sigmas}")
+        if not all(0 < s < np.inf for s in sigmas):
+            raise ValueError(f"noise sigmas must be finite and positive, got {sigmas}")
         if any(a <= b for a, b in zip(sigmas, sigmas[1:])):
             raise ValueError(f"noise sigmas must be strictly decreasing, got {sigmas}")
         object.__setattr__(self, "noise_sigmas", sigmas)

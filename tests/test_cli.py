@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 
@@ -183,6 +184,17 @@ class TestTTestReport:
         with pytest.raises(ConfigError):
             run_ttest_report(rows, t_threshold=20)
 
+    def test_entries_in_T_k_method_order(self):
+        rows = [
+            {"method": m, "T": t, "k": k, "missing_rate": 0.01 * r}
+            for t in (40, 30, 10)
+            for m in (4, 1, 2)
+            for k in (5, 3)
+            for r in range(2)
+        ]
+        report = run_ttest_report(rows, t_threshold=20)
+        assert [(e["T"], e["k"], e["method"]) for e in report] == sorted(itertools.product((30, 40), (3, 5), (2, 4)))
+
 
 class TestMain:
     def test_end_to_end(self, tmp_path, capsys):
@@ -269,6 +281,22 @@ class TestMain:
         assert code == 0
         assert len(out.read_text().strip().split("\n")) == 2
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_unset_grid_flags_take_experiment_config_defaults(self, tmp_path, via_config):
+        spec = "blobs:n=60,d=2,centers=2,sigma=0.5,seed=4"
+        expected, out = tmp_path / "expected.csv", tmp_path / "r.csv"
+        cfg = ExperimentConfig(forest_sizes=(1,), repetitions=1, include_timings=False)
+        write_results_csv(run_experiment_grid(parse_dataset_spec(spec), cfg), expected)
+        if via_config:
+            # null leaves a key unset, as an absent flag does
+            values = {"dataset": spec, "out": str(out), "trees": [1], "reps": 1, "no_timings": True, "methods": None}
+            (tmp_path / "cfg.json").write_text(json.dumps(values))
+            argv = ["--config", str(tmp_path / "cfg.json")]
+        else:
+            argv = ["--dataset", spec, "--out", str(out), "--trees", "1", "--reps", "1", "--no-timings"]
+        assert main(argv) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_unknown_config_key(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"bogus": 1}))
@@ -291,6 +319,11 @@ class TestMain:
         captured = capsys.readouterr().out
         assert "T,k,method,statistic,p_value" in captured
 
+    def test_ttest_without_comparison_needs_one_repetition(self, tmp_path, capsys):
+        # method 1 alone is compared with nothing, so one repetition is enough
+        argv = ["--dataset", "blobs:n=50,d=2,centers=2,sigma=0.7,seed=3", "--methods", "1", "--trees", "1", "--k", "3"]
+        assert main(argv + ["--reps", "1", "--ttest-threshold", "0", "--out", str(tmp_path / "r.csv")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "T,k,method,statistic,p_value"
 
     def test_ttest_zero_variance_row_printed(self, tmp_path, capsys, monkeypatch):
         # method 1 always finds every neighbour, method 2 always misses 25%:
@@ -337,6 +370,12 @@ class TestFailFast:
             ("1e160,1\n-1e160,2\n0,3\n5,4\n6,5\n", [], 1),  # squared distances overflow
             ("5,1\n", ["--standardize"], 1),  # one row has no sample std
             ("1e160,1\n-1e160,2\n0,3\n5,4\n6,5\n", ["--standardize"], 1),  # the std overflows
+            (None, ["--dataset", BLOBS, "--seed", "-1"], 1),
+            (None, ["--dataset", BLOBS, "--methods", "1", "1"], 1),  # a repeated value
+            (None, ["--dataset", BLOBS, "--trees", "5", "5"], 1),
+            (None, ["--dataset", BLOBS, "--k", "3", "3"], 1),
+            (None, ["--dataset", BLOBS, "--noise-sigmas", "nan"], 1),
+            (None, ["--dataset", BLOBS, "--noise-sigmas", "inf", "1"], 1),
         ],
     )
     def test_bad_input_gives_one_error_line(self, tmp_path, monkeypatch, capsys, csv_text, flags, code):
