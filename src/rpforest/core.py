@@ -60,26 +60,63 @@ def check_self_ids(self_ids, m: int, n: int) -> np.ndarray:
     return ids
 
 
-def dispersion(values, seg=None):
+def dispersion(values, seg=None, sizes=None):
     """Spread of projected values: sample standard deviation (divisor m-1).
 
     A single value has zero spread by convention. The steps are those of
     np.std(v, ddof=1), so the result is bit-identical, without its per-call
-    overhead. With seg, an array of the spread of every group of values,
-    values[seg == i] for i = 0, 1, ..., each group non-empty and summed on
-    its own in its own order, so its result does not depend on the others.
+    overhead. With seg and sizes (sizes[i] the count of i in seg), an array
+    of the spread of every group of values, values[seg == i] for i = 0, 1,
+    ..., each group non-empty and summed on its own in its own order, so its
+    result does not depend on the others.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("dispersion of an empty set is undefined")
     if seg is not None:
-        sizes = np.bincount(seg)
-        centred = v - (np.bincount(seg, weights=v) / sizes)[seg]
-        return np.sqrt(np.bincount(seg, weights=centred * centred) / np.maximum(sizes - 1, 1))
+        centred = v - (np.bincount(seg, weights=v) / sizes).take(seg)
+        centred *= centred
+        return np.sqrt(np.bincount(seg, weights=centred) / np.maximum(sizes - 1, 1))
     if v.size == 1:
         return 0.0
     centred = v - v.sum() / v.size
     return float(np.sqrt((centred * centred).sum() / (v.size - 1)))
+
+
+class Level:
+    """The gathered points of one tree level, node after node: node i is the
+    next sizes[i] rows of points, and seg holds each row's node.
+
+    project(r) is every row's projection onto its node's direction, the bits
+    of einsum("ij,ij->i", points, r[seg]) without copying r to every row. The
+    rows are cut into blocks of BLOCK consecutive rows (of one row below d =
+    BLOCK, where a direction is a few floats and the block bookkeeping costs
+    more than the copy saves). A block inside one node is projected through
+    a view of points with one copy of its node's direction; the rows of blocks
+    that straddle nodes, and the tail rows, are projected row by row. Each
+    row's sum is the same contiguous einsum kernel either way.
+    """
+
+    BLOCK = 8
+
+    def __init__(self, points: np.ndarray, sizes: np.ndarray):
+        n, d = points.shape
+        b = self.BLOCK if d >= self.BLOCK else 1
+        k = n // b
+        self.points, self.sizes = points, sizes
+        self.seg = seg = np.repeat(np.arange(sizes.size), sizes)
+        self.blocks, self.heads = points[: k * b].reshape(k, b, d), seg[: k * b : b]
+        straddle = np.flatnonzero(self.heads != seg[b - 1 : k * b : b])
+        self.rest = np.concatenate([(straddle[:, None] * b + np.arange(b)).ravel(), np.arange(k * b, n)])
+        self.rest_points, self.rest_seg = points.take(self.rest, axis=0), seg.take(self.rest)
+
+    def project(self, r: np.ndarray) -> np.ndarray:
+        values = np.empty(self.seg.size)
+        k, b, _ = self.blocks.shape
+        np.einsum("kbj,kj->kb", self.blocks, r.take(self.heads, axis=0), out=values[: k * b].reshape(k, b))
+        if self.rest.size:
+            values[self.rest] = np.einsum("ij,ij->i", self.rest_points, r.take(self.rest_seg, axis=0))
+        return values
 
 
 def random_unit_direction(d: int, rng: np.random.Generator, size: tuple[int, ...] = ()) -> np.ndarray:

@@ -95,12 +95,12 @@ def gen_gaussian_blobs(n: int, d: int, centers, sigma: float, seed: int) -> Data
 def gen_concentric_rings(n: int, radii, noise_sigma: float, seed: int) -> Dataset:
     """2-d points at evenly spaced angles on each ring plus radial noise."""
     radii = np.asarray(radii, dtype=np.float64)
-    if radii.size == 0 or np.any(radii <= 0):
-        raise ValueError("radii must be positive")
+    if radii.size == 0 or not np.all((radii > 0) & (radii < np.inf)):
+        raise ValueError("radii must be positive and finite")
     if np.unique(radii).size != radii.size:
         raise ValueError("radii must be distinct")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be non-negative")
+    if not 0 <= noise_sigma < np.inf:
+        raise ValueError("noise_sigma must be non-negative and finite")
     rng = np.random.default_rng(seed)
     points = np.empty((n, 2))
     assignment = np.arange(n) % radii.size

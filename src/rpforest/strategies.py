@@ -15,7 +15,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .core import dispersion, random_unit_direction
+from .core import Level, dispersion, random_unit_direction
 
 
 class Method(IntEnum):
@@ -56,34 +56,30 @@ def principal_components(points: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return pc * np.where(lead < 0, -1.0, 1.0)[:, None]
 
 
-def choose_directions(points: np.ndarray, sizes: np.ndarray, cfg: StrategyConfig, rngs, counts):
-    """One unit direction per segment of points, for every node of a level.
+def choose_directions(level: Level, cfg: StrategyConfig, rngs, counts):
+    """One unit direction per node of a level (see core.Level).
 
-    Segment i is the next sizes[i] rows of points. The first counts[0]
-    segments draw from rngs[0], the next counts[1] from rngs[1], and so on;
-    each generator makes one bulk draw per stage for all of its segments
-    (method 2: n_try directions each; method 3: then n_try noise vectors each
-    per sigma). Returns the (m, d) directions and the (m, s) dispersion of the
-    incumbent after each stage, non-decreasing along a row: s = 0 for methods
-    1 and 4, 1 for method 2 and 1 + len(noise_sigmas) for method 3.
+    The first counts[0] nodes draw from rngs[0], the next counts[1] from
+    rngs[1], and so on; each generator makes one bulk draw per stage for all
+    of its nodes (method 2: n_try directions each; method 3: then n_try noise
+    vectors each per sigma). Candidates are scored through level.project.
+    Returns the (m, d) directions and the (m, s) dispersion of the incumbent
+    after each stage, non-decreasing along a row: s = 0 for methods 1 and 4,
+    1 for method 2 and 1 + len(noise_sigmas) for method 3.
     """
-    m, d = sizes.size, points.shape[1]
+    m, d = level.sizes.size, level.points.shape[1]
     pairs = [(rng, c) for rng, c in zip(rngs, counts) if c]
 
-    def draw(one):  # one bulk draw per generator, stacked in segment order
+    def draw(one):  # one bulk draw per generator, stacked in node order
         return np.concatenate([one(rng, c) for rng, c in pairs])
 
     if cfg.method == Method.RANDOM_DIRECTION:
         return draw(lambda rng, c: random_unit_direction(d, rng, (c,))), np.empty((m, 0))
     if cfg.method == Method.PRINCIPAL_COMPONENT:
-        return principal_components(points, sizes), np.empty((m, 0))
-    seg = np.repeat(np.arange(m), sizes)
-
-    rows = np.empty_like(points)  # one buffer for every candidate's directions, row by row
+        return principal_components(level.points, level.sizes), np.empty((m, 0))
 
     def score(r):
-        values = np.einsum("ij,ij->i", points, np.take(r, seg, axis=0, out=rows, mode="clip"))
-        return dispersion(values, seg)
+        return dispersion(level.project(r), level.seg, level.sizes)
 
     # greedy over candidates in draw order: a candidate replaces the incumbent
     # only when it strictly improves dispersion, so ties go to the earliest

@@ -6,15 +6,16 @@ c < 0 is leaf ~c, whose members are leaf_members[leaf_offsets[~c]:...]. The
 build writes these arrays for a whole forest; an RpTree views one tree. The
 router steps all (point, tree) pairs together through routing_table's global
 rows, eight numpy calls a level, until every row is a leaf row. It splits as
-the build does (x.r < c goes left) with the build's einsum, whose value for a
-row does not depend on the rows computed with it, so training points route home.
+the build does (x.r < c goes left) with the per-row einsum kernel of the
+build's projection (core.Level), whose value for a row does not depend on the
+rows computed with it, so training points route home.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, check_queries
+from .core import Dataset, Level, check_queries
 from .strategies import StrategyConfig, choose_directions
 
 MAX_DEGENERATE_RETRIES = 3  # fresh draws for a node whose split leaves a side empty
@@ -149,10 +150,9 @@ def build_trees(data: Dataset, cfg: TreeConfig, rngs):
     start, size = np.arange(n_trees) * n, np.full(n_trees, n)
     parent, side = np.full(n_trees, -1), np.zeros(n_trees, dtype=np.intp)
     nodes, leaves = [], []  # per level: (direction, split, start, parent, side)
-    # the level's gathered points and their nodes' directions, allocated once:
-    # a fresh multi-megabyte temporary per level costs more in page faults
-    # than the gather itself
-    work = np.empty((2, perm.size, d))
+    # the level's gathered points, allocated once: a fresh multi-megabyte
+    # temporary per level costs more in page faults than the gather itself
+    work = np.empty((perm.size, d))
     n_nodes = 0
     while start.size:
         small = size < cap
@@ -183,14 +183,14 @@ def _split_level(points, perm, start, size, cfg: TreeConfig, rngs, work):
             break
         sizes = size[todo]
         first = np.cumsum(sizes) - sizes
-        seg = np.repeat(np.arange(todo.size), sizes)
-        pos = start[todo][seg] - first[seg] + np.arange(seg.size)
+        pos = np.repeat(start[todo] - first, sizes) + np.arange(sizes.sum())
         ids = perm[pos]
-        pts = np.take(points, ids, axis=0, out=work[0, : seg.size], mode="clip")
+        level = Level(np.take(points, ids, axis=0, out=work[: ids.size], mode="clip"), sizes)
+        pts, seg = level.points, level.seg
         counts = np.bincount(start[todo] // points.shape[0], minlength=len(rngs))
-        r, _ = choose_directions(pts, sizes, cfg.strategy, rngs, counts)
+        r, _ = choose_directions(level, cfg.strategy, rngs, counts)
         u = np.concatenate([rng.uniform(0.25, 0.75, k) for rng, k in zip(rngs, counts) if k])
-        values = np.einsum("ij,ij->i", pts, np.take(r, seg, axis=0, out=work[1, : seg.size], mode="clip"))
+        values = level.project(r)
         order, cut, left = split_segments(values, sizes, u)
         perm[pos] = ids[order]
         failed = (left == 0) | (left == sizes)

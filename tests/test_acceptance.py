@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rpforest.cli import ExperimentConfig, main, run_experiment_grid, run_ttest_report
-from rpforest.core import Dataset, dispersion
+from rpforest.core import Dataset, Level, dispersion
 from rpforest.data import gen_gaussian_blobs
 from rpforest.forest import build_forest, query_all_training, query_knn
 from rpforest.metrics import distance_error, missing_rate
@@ -134,10 +134,10 @@ def test_criterion_5_pca_dispersion_optimality():
     for _ in range(100):
         scale = rng.uniform(1.0, 5.0, size=2)
         pts = rng.normal(size=(rng.integers(10, 80), 2)) * scale
-        sizes = np.array([len(pts)])  # one node holding every point
-        pca = dispersion(pts @ choose_directions(pts, sizes, pca_cfg, [], [])[0][0])
+        level = Level(pts, np.array([len(pts)]))  # one node holding every point
+        pca = dispersion(pts @ choose_directions(level, pca_cfg, [], [])[0][0])
         grid_best = max(dispersion(pts @ g) for g in grid_dirs)
-        rand = dispersion(pts @ choose_directions(pts, sizes, random_cfg, [rng], [1])[0][0])
+        rand = dispersion(pts @ choose_directions(level, random_cfg, [rng], [1])[0][0])
         ok &= pca >= grid_best - 1e-6
         ok &= pca >= rand
     report(5, ok, "PCA beat the 360-direction grid and method 1 on all 100 nodes")
@@ -149,7 +149,7 @@ def test_criterion_6_method3_monotone_tuning():
     ok = True
     for _ in range(200):
         pts = rng.normal(size=(rng.integers(5, 60), rng.integers(2, 6)))
-        stages = choose_directions(pts, np.array([len(pts)]), cfg, [rng], [1])[1][0]
+        stages = choose_directions(Level(pts, np.array([len(pts)])), cfg, [rng], [1])[1][0]
         ok &= all(a <= b for a, b in zip(stages, stages[1:]))
     report(6, ok, "stage dispersions non-decreasing on all 200 seeded splits")
 

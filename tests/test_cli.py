@@ -376,6 +376,8 @@ class TestFailFast:
             (None, ["--dataset", BLOBS, "--k", "3", "3"], 1),
             (None, ["--dataset", BLOBS, "--noise-sigmas", "nan"], 1),
             (None, ["--dataset", BLOBS, "--noise-sigmas", "inf", "1"], 1),
+            (None, ["--dataset", "rings:noise=nan"], 1),
+            (None, ["--dataset", "rings:n=3,radii=inf"], 1),  # no numpy warning before the error
         ],
     )
     def test_bad_input_gives_one_error_line(self, tmp_path, monkeypatch, capsys, csv_text, flags, code):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rpforest.core import (
     Dataset,
+    Level,
     dispersion,
     random_unit_direction,
 )
@@ -69,13 +70,35 @@ class TestDispersion:
     @given(st.lists(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=30), min_size=1, max_size=8))
     def test_groups_match_one_group_at_a_time(self, groups):
         values = np.concatenate([np.asarray(g, dtype=np.float64) for g in groups])
-        seg = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-        spread = dispersion(values, seg)
+        sizes = np.array([len(g) for g in groups])
+        seg = np.repeat(np.arange(len(groups)), sizes)
+        spread = dispersion(values, seg, sizes)
         assert spread.shape == (len(groups),)
         for i, g in enumerate(groups):
             # a group's result does not depend on the others
-            assert spread[i] == dispersion(values[seg == i], np.zeros(len(g), dtype=np.intp))[0]
+            assert spread[i] == dispersion(values[seg == i], np.zeros(len(g), dtype=np.intp), sizes[i : i + 1])[0]
             assert spread[i] == pytest.approx(dispersion(g), rel=1e-9, abs=1e-6)
+
+
+class TestLevel:
+    @settings(max_examples=200)
+    @given(
+        st.sampled_from([1, 2, 7, 8, 9, 64]),
+        st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=12),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(8, [1, 1, 1, 2, 3, 9, 3], 0)  # a block over 5 nodes, one inside a node, a tail over 2
+    @example(9, [16, 8, 1], 1)  # whole blocks only, then a one-row tail
+    def test_project_equals_rowwise_einsum(self, d, sizes, seed):
+        rng = np.random.default_rng(seed)
+        sizes = np.array(sizes)
+        n = sizes.sum()
+        # a view into a larger buffer, as the build's gathered points are
+        points = np.empty((n + 3, d))[:n]
+        points[:] = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        r = rng.normal(size=(sizes.size, d))
+        expected = np.einsum("ij,ij->i", points, r[np.repeat(np.arange(sizes.size), sizes)])
+        assert Level(points, sizes).project(r).tobytes() == expected.tobytes()  # bit for bit
 
 
 class TestRandomUnitDirection:

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from unittest import mock
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import rpforest.core
 import rpforest.forest
 from rpforest.core import Dataset
+from rpforest.data import gen_gaussian_blobs
 from rpforest.forest import (
     _spans,
     build_forest,
@@ -56,6 +58,26 @@ class TestBuildForest:
         small = digests(build_forest(ds, TreeConfig(), 3, master_seed=5))
         large = digests(build_forest(ds, TreeConfig(), 8, master_seed=5))
         assert large[:3] == small
+
+
+class TestGoldenForest:
+    """Pinned forests at d = 12, where the build projects whole blocks of rows
+    (core.Level); the golden CSV's d = 2 data never does. A change that alters
+    RNG use or summation order updates the digests and says so."""
+
+    DIGESTS = {
+        1: "bcece242f339b0ee9fd70ba89da640a74a09ed591ed51bca80225e90acd34742",
+        2: "29d1d3cdbedb41b7e7a3f8d3a351612544accc53203f8f4d11826921c4130f75",
+        3: "3ad6ab4c5ff25bc953adb811f436b1ffb6f41c97b0e5a0bc76d5b00ec5d4bab9",
+    }
+
+    @pytest.mark.parametrize("method", [1, 2, 3])  # method 4's eigh is LAPACK's arithmetic
+    def test_forest_arrays_keep_their_bytes(self, method):
+        forest = build_forest(gen_gaussian_blobs(300, 12, 4, 1.0, 7), TreeConfig(strategy=StrategyConfig(method=method)), 8, 11)
+        csr, h = forest.membership, hashlib.sha256()
+        for a in (forest.directions, forest.splits, forest.children, forest.node_base, forest.leaf_base, csr.indptr, csr.indices, forest.leaf_of):
+            h.update(np.ascontiguousarray(a, dtype=np.float64 if a.dtype.kind == "f" else np.int64).tobytes())
+        assert h.hexdigest() == self.DIGESTS[method]
 
 
 class TestQueryKnn:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from rpforest.core import dispersion
+from rpforest.core import Level, dispersion
 from rpforest.strategies import Method, StrategyConfig, choose_directions
 
 METHOD1 = StrategyConfig(method=Method.RANDOM_DIRECTION)
@@ -17,8 +17,8 @@ def anisotropic_points(rng, n=60, sx=10.0, sy=1.0):
 
 
 def one_node(pts):
-    """The sizes argument for a level of one node holding every row of pts."""
-    return np.array([len(pts)])
+    """A level of one node holding every row of pts."""
+    return Level(pts, np.array([len(pts)]))
 
 
 class TestStrategyConfig:
@@ -45,15 +45,15 @@ class TestStrategyConfig:
 class TestMethod1:
     def test_deterministic_under_seed(self):
         pts = np.random.default_rng(0).normal(size=(30, 3))
-        a, _ = choose_directions(pts, one_node(pts), METHOD1, [np.random.default_rng(11)], [1])
-        b, _ = choose_directions(pts, one_node(pts), METHOD1, [np.random.default_rng(11)], [1])
+        a, _ = choose_directions(one_node(pts), METHOD1, [np.random.default_rng(11)], [1])
+        b, _ = choose_directions(one_node(pts), METHOD1, [np.random.default_rng(11)], [1])
         np.testing.assert_array_equal(a, b)
 
     def test_candidates_evaluated(self):
         # one candidate per node: the generator advances by one d-vector draw
         pts = np.random.default_rng(1).normal(size=(10, 2))
         rng, replay = np.random.default_rng(0), np.random.default_rng(0)
-        _, stages = choose_directions(pts, one_node(pts), METHOD1, [rng], [1])
+        _, stages = choose_directions(one_node(pts), METHOD1, [rng], [1])
         replay.standard_normal((1, 2))
         assert stages.shape == (1, 0) and rng.random() == replay.random()
 
@@ -63,7 +63,7 @@ class TestMethod1:
         rng = np.random.default_rng(5)
         angles = np.array(
             [
-                np.arctan2(*choose_directions(pts, one_node(pts), METHOD1, [rng], [1])[0][0, ::-1])
+                np.arctan2(*choose_directions(one_node(pts), METHOD1, [rng], [1])[0][0, ::-1])
                 for _ in range(10_000)
             ]
         )
@@ -78,19 +78,19 @@ class TestMethod2:
     def test_ntry_1_matches_method1(self):
         pts = np.random.default_rng(6).normal(size=(20, 3))
         cfg = StrategyConfig(method=Method.MAX_DISPERSION, n_try=1)
-        a, _ = choose_directions(pts, one_node(pts), METHOD1, [np.random.default_rng(21)], [1])
-        b, _ = choose_directions(pts, one_node(pts), cfg, [np.random.default_rng(21)], [1])
+        a, _ = choose_directions(one_node(pts), METHOD1, [np.random.default_rng(21)], [1])
+        b, _ = choose_directions(one_node(pts), cfg, [np.random.default_rng(21)], [1])
         np.testing.assert_array_equal(a, b)
 
     def test_returns_argmax_over_candidates(self):
         # replay the same stream: the winner must dominate every candidate
         pts = np.random.default_rng(7).normal(size=(40, 5))
         cfg = StrategyConfig(method=Method.MAX_DISPERSION, n_try=5)
-        r, stages = choose_directions(pts, one_node(pts), cfg, [np.random.default_rng(22)], [1])
+        r, stages = choose_directions(one_node(pts), cfg, [np.random.default_rng(22)], [1])
         assert stages[0, -1] == pytest.approx(dispersion(pts @ r[0]), abs=1e-12)
         replay = np.random.default_rng(22)
         for _ in range(cfg.n_try):
-            cand, _ = choose_directions(pts, one_node(pts), METHOD1, [replay], [1])
+            cand, _ = choose_directions(one_node(pts), METHOD1, [replay], [1])
             assert stages[0, -1] >= dispersion(pts @ cand[0]) - 1e-12
 
     def test_prefers_high_variance_axis(self):
@@ -100,8 +100,8 @@ class TestMethod2:
         align1, align2 = [], []
         for _ in range(1000):
             pts = anisotropic_points(rng)
-            align1.append(abs(choose_directions(pts, one_node(pts), METHOD1, [rng], [1])[0][0, 0]))
-            align2.append(abs(choose_directions(pts, one_node(pts), cfg, [rng], [1])[0][0, 0]))
+            align1.append(abs(choose_directions(one_node(pts), METHOD1, [rng], [1])[0][0, 0]))
+            align2.append(abs(choose_directions(one_node(pts), cfg, [rng], [1])[0][0, 0]))
         assert np.mean(align2) > np.mean(align1)
 
 
@@ -111,22 +111,22 @@ class TestMethod3:
         cfg = StrategyConfig(method=Method.NOISE_TUNED_DISPERSION)
         for _ in range(50):
             pts = rng.normal(size=(30, 3))
-            stages = choose_directions(pts, one_node(pts), cfg, [rng], [1])[1][0]
+            stages = choose_directions(one_node(pts), cfg, [rng], [1])[1][0]
             assert len(stages) == 1 + len(cfg.noise_sigmas)
             assert all(a <= b + 1e-15 for a, b in zip(stages, stages[1:]))
 
     def test_final_at_least_stage0(self):
         pts = np.random.default_rng(10).normal(size=(50, 4))
         cfg = StrategyConfig(method=Method.NOISE_TUNED_DISPERSION)
-        _, stages = choose_directions(pts, one_node(pts), cfg, [np.random.default_rng(30)], [1])
+        _, stages = choose_directions(one_node(pts), cfg, [np.random.default_rng(30)], [1])
         assert stages[0, -1] >= stages[0, 0]
 
     def test_empty_sigmas_equals_method2(self):
         pts = np.random.default_rng(11).normal(size=(20, 3))
         cfg3 = StrategyConfig(method=Method.NOISE_TUNED_DISPERSION, noise_sigmas=())
         cfg2 = StrategyConfig(method=Method.MAX_DISPERSION, noise_sigmas=())
-        a, a_stages = choose_directions(pts, one_node(pts), cfg2, [np.random.default_rng(31)], [1])
-        b, b_stages = choose_directions(pts, one_node(pts), cfg3, [np.random.default_rng(31)], [1])
+        a, a_stages = choose_directions(one_node(pts), cfg2, [np.random.default_rng(31)], [1])
+        b, b_stages = choose_directions(one_node(pts), cfg3, [np.random.default_rng(31)], [1])
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a_stages, b_stages)
 
@@ -136,14 +136,14 @@ class TestMethod3:
         pts = np.random.default_rng(12).normal(size=(20, 2))
         cfg = StrategyConfig(method=Method.NOISE_TUNED_DISPERSION, n_try=4)
         rng, replay = np.random.default_rng(32), np.random.default_rng(32)
-        _, stages = choose_directions(pts, one_node(pts), cfg, [rng], [1])
+        _, stages = choose_directions(one_node(pts), cfg, [rng], [1])
         replay.standard_normal((4 * 3, 2))
         assert stages.shape == (1, 3) and rng.random() == replay.random()
 
     def test_unit_norm_after_tuning(self):
         pts = np.random.default_rng(13).normal(size=(25, 3))
         cfg = StrategyConfig(method=Method.NOISE_TUNED_DISPERSION)
-        r, _ = choose_directions(pts, one_node(pts), cfg, [np.random.default_rng(33)], [1])
+        r, _ = choose_directions(one_node(pts), cfg, [np.random.default_rng(33)], [1])
         assert np.linalg.norm(r[0]) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -152,13 +152,13 @@ class TestMethod4:
     def test_collinear_points(self):
         t = np.linspace(-2, 3, 10)
         pts = np.column_stack([t, 2 * t])
-        r, _ = choose_directions(pts, one_node(pts), METHOD4, [], [])
+        r, _ = choose_directions(one_node(pts), METHOD4, [], [])
         np.testing.assert_allclose(r[0], np.array([1.0, 2.0]) / np.sqrt(5), atol=1e-9)
 
     def test_sign_normalization(self):
         t = np.linspace(-1, 1, 8)
         pts = np.column_stack([-t, t])  # pc is along (-1, 1)/sqrt(2) up to sign
-        r = choose_directions(pts, one_node(pts), METHOD4, [], [])[0][0]
+        r = choose_directions(one_node(pts), METHOD4, [], [])[0][0]
         first_nonzero = r[np.nonzero(np.abs(r) > 1e-12)[0][0]]
         assert first_nonzero > 0
 
@@ -167,7 +167,7 @@ class TestMethod4:
         rng = np.random.default_rng(14)
         for _ in range(20):
             pts = anisotropic_points(rng, n=40, sx=3.0, sy=1.0)
-            r, _ = choose_directions(pts, one_node(pts), METHOD4, [], [])
+            r, _ = choose_directions(one_node(pts), METHOD4, [], [])
             angles = np.linspace(0, np.pi, 360, endpoint=False)
             grid_best = max(dispersion(pts @ np.array([np.cos(a), np.sin(a)])) for a in angles)
             assert dispersion(pts @ r[0]) >= grid_best - 1e-6
@@ -176,15 +176,15 @@ class TestMethod4:
         rng = np.random.default_rng(15)
         for _ in range(50):
             pts = rng.normal(size=(30, 2))
-            pc, _ = choose_directions(pts, one_node(pts), METHOD4, [], [])
-            rd, _ = choose_directions(pts, one_node(pts), METHOD1, [rng], [1])
+            pc, _ = choose_directions(one_node(pts), METHOD4, [], [])
+            rd, _ = choose_directions(one_node(pts), METHOD1, [rng], [1])
             assert dispersion(pts @ pc[0]) >= dispersion(pts @ rd[0]) - 1e-12
 
     def test_identical_points_degenerate(self):
         # no direction spreads identical points; the kernel still returns a
         # finite unit direction and the build turns the node into a leaf
         pts = np.ones((10, 3))
-        r, _ = choose_directions(pts, one_node(pts), METHOD4, [], [])
+        r, _ = choose_directions(one_node(pts), METHOD4, [], [])
         assert np.all(np.isfinite(r)) and np.linalg.norm(r[0]) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -193,8 +193,8 @@ class TestDispatch:
     def test_unit_norm_and_determinism(self, method):
         pts = np.random.default_rng(16).normal(size=(30, 3))
         cfg = StrategyConfig(method=method)
-        a, _ = choose_directions(pts, one_node(pts), cfg, [np.random.default_rng(40)], [1])
-        b, _ = choose_directions(pts, one_node(pts), cfg, [np.random.default_rng(40)], [1])
+        a, _ = choose_directions(one_node(pts), cfg, [np.random.default_rng(40)], [1])
+        b, _ = choose_directions(one_node(pts), cfg, [np.random.default_rng(40)], [1])
         np.testing.assert_array_equal(a, b)
         assert np.linalg.norm(a[0]) == pytest.approx(1.0, abs=1e-9)
 
@@ -204,7 +204,7 @@ class TestDispatch:
         cfg3 = StrategyConfig(method=Method.NOISE_TUNED_DISPERSION)
         for _ in range(30):
             pts = rng.normal(size=(40, 2))
-            _, stages = choose_directions(pts, one_node(pts), cfg3, [rng], [1])
-            pc, _ = choose_directions(pts, one_node(pts), METHOD4, [], [])
+            _, stages = choose_directions(one_node(pts), cfg3, [rng], [1])
+            pc, _ = choose_directions(one_node(pts), METHOD4, [], [])
             assert dispersion(pts @ pc[0]) >= stages[0, -1] - 1e-9
             assert stages[0, -1] >= stages[0, 0] - 1e-15
