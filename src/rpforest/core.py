@@ -12,22 +12,24 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 
 @dataclass(frozen=True)
 class Dataset:
-    """An n x d matrix of points with stable integer ids (row order)."""
+    """An n x d matrix of finite points, kept as a read-only contiguous float64
+    copy that no write to the caller's array can change; a point's id is its row."""
 
     points: np.ndarray
-    ids: np.ndarray
 
-    @classmethod
-    def from_points(cls, points) -> "Dataset":
-        pts = np.ascontiguousarray(points, dtype=np.float64)
+    def __post_init__(self):
+        pts = np.array(self.points, dtype=np.float64, order="C")
         if pts.ndim != 2:
             raise ValueError(f"points must be a 2-d matrix, got ndim={pts.ndim}")
-        n, d = pts.shape
-        if n < 1 or d < 1:
+        if min(pts.shape) < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points contain NaN or Inf")
-        return cls(points=pts, ids=np.arange(n))
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
+
+    from_points = classmethod(lambda cls, points: cls(points))  # the constructor by its older name
+    ids = property(lambda self: np.arange(self.n))
 
     @property
     def n(self) -> int:
@@ -61,26 +63,21 @@ def check_self_ids(self_ids, m: int, n: int) -> np.ndarray:
 
 
 def dispersion(values, seg=None, sizes=None):
-    """Spread of projected values: sample standard deviation (divisor m-1).
-
-    A single value has zero spread by convention. The steps are those of
-    np.std(v, ddof=1), so the result is bit-identical, without its per-call
-    overhead. With seg and sizes (sizes[i] the count of i in seg), an array
-    of the spread of every group of values, values[seg == i] for i = 0, 1,
-    ..., each group non-empty and summed on its own in its own order, so its
-    result does not depend on the others.
+    """Spread of projected values: sample standard deviation (divisor m-1),
+    np.std(v, ddof=1); a single value has zero spread by convention. With seg
+    and sizes (sizes[i] the count of i in seg), an array of the spread of
+    every group of values, values[seg == i] for i = 0, 1, ..., each group
+    non-empty and summed on its own in its own order, so its result does not
+    depend on the others.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("dispersion of an empty set is undefined")
-    if seg is not None:
-        centred = v - (np.bincount(seg, weights=v) / sizes).take(seg)
-        centred *= centred
-        return np.sqrt(np.bincount(seg, weights=centred) / np.maximum(sizes - 1, 1))
-    if v.size == 1:
-        return 0.0
-    centred = v - v.sum() / v.size
-    return float(np.sqrt((centred * centred).sum() / (v.size - 1)))
+    if seg is None:
+        return float(np.std(v, ddof=1)) if v.size > 1 else 0.0
+    centred = v - (np.bincount(seg, weights=v) / sizes).take(seg)
+    centred *= centred
+    return np.sqrt(np.bincount(seg, weights=centred) / np.maximum(sizes - 1, 1))
 
 
 class Level:

@@ -64,7 +64,7 @@ def load_csv(
             raise CsvFormatError(f"{path}: standardizing column {columns[~np.isfinite(std)][0]} overflows; rescale it")
         std[std == 0.0] = 1.0
         matrix = matrix / std
-    return Dataset.from_points(matrix)
+    return Dataset(matrix)
 
 
 def gen_gaussian_blobs(n: int, d: int, centers, sigma: float, seed: int) -> Dataset:
@@ -75,8 +75,8 @@ def gen_gaussian_blobs(n: int, d: int, centers, sigma: float, seed: int) -> Data
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     rng = np.random.default_rng(seed)
     if np.isscalar(centers):
         n_centers = int(centers)
@@ -89,7 +89,7 @@ def gen_gaussian_blobs(n: int, d: int, centers, sigma: float, seed: int) -> Data
             raise ValueError(f"centers have d={center_pts.shape[1]}, expected {d}")
     assignment = np.arange(n) % center_pts.shape[0]
     points = center_pts[assignment] + rng.normal(0.0, sigma, size=(n, d))
-    return Dataset.from_points(points)
+    return Dataset(points)
 
 
 def gen_concentric_rings(n: int, radii, noise_sigma: float, seed: int) -> Dataset:
@@ -110,4 +110,4 @@ def gen_concentric_rings(n: int, radii, noise_sigma: float, seed: int) -> Datase
         r = radius + (rng.normal(0.0, noise_sigma, size=rows.size) if noise_sigma > 0 else 0.0)
         points[rows, 0] = r * np.cos(angles)
         points[rows, 1] = r * np.sin(angles)
-    return Dataset.from_points(points)
+    return Dataset(points)

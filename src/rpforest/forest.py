@@ -71,10 +71,13 @@ def build_forest(
 ) -> RpForest:
     """Build n_trees trees, tree t seeded from child stream t of master_seed.
 
-    Child streams are spawned from the master seed, so tree t is identical
-    regardless of how many trees follow it. Trees are built level by level, in
-    groups whose gathered points fit BUILD_BYTES and at least one group per
-    worker (run on parallel_map's threads); a tree does not depend on its group.
+    Child stream t is the SeedSequence whose spawn key is master_seed's with
+    t appended: the stream a fresh seed's spawn gives tree t. The seed is
+    never advanced, so one seed gives one forest however often it is passed,
+    forest.master_seed rebuilds the forest, and tree t does not depend on how
+    many trees follow it. Trees are built level by level, in groups whose
+    gathered points fit BUILD_BYTES and at least one group per worker (run
+    on parallel_map's threads); a tree does not depend on its group.
 
     The groups' tables (see build_trees) are concatenated once. node_base,
     leaf_base and the membership indptr are the cumulative sums of the nodes
@@ -83,11 +86,11 @@ def build_forest(
     """
     if n_trees < 1:
         raise ValueError(f"need at least 1 tree, got {n_trees}")
-    if isinstance(master_seed, np.random.SeedSequence):
-        ss = master_seed
-    else:
-        ss = np.random.SeedSequence(master_seed)
-    rngs = [np.random.default_rng(child) for child in ss.spawn(n_trees)]
+    ss = master_seed if isinstance(master_seed, np.random.SeedSequence) else np.random.SeedSequence(master_seed)
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, t), pool_size=ss.pool_size))
+        for t in range(n_trees)
+    ]
     group = max(1, min(BUILD_BYTES // (8 * data.n * data.d), -(-n_trees // core.WORKERS)))
     groups = core.parallel_map(lambda lo: build_trees(data, cfg, rngs[lo : lo + group]), range(0, n_trees, group))
     directions, splits, children, *counts, members, leaf_of = (np.concatenate(a) for a in zip(*groups))

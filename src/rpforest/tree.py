@@ -142,8 +142,6 @@ def build_trees(data: Dataset, cfg: TreeConfig, rngs):
     and the members grouped by leaf (leaves left to right, members
     ascending), and the (trees, n) table of each point's local leaf index.
     """
-    if data.n == 0:
-        raise ValueError("dataset is empty")
     n, d, cap, n_trees = data.n, data.d, cfg.leaf_capacity, len(rngs)
     perm = np.tile(data.ids, n_trees)
     # segments to split at the current level, by start position in perm

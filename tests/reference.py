@@ -13,25 +13,25 @@ reference (tests/test_oracle.py).
 import numpy as np
 
 from rpforest.forest import NeighborList
-from rpforest.tree import Leaf
 
 
 def route_recursive(tree, points) -> np.ndarray:
-    """Leaf index of each row of points, one recursive descent per tree."""
+    """Leaf index of each row of points, one recursive descent per tree over
+    its child codes: code c >= 0 is internal node c, code c < 0 is leaf ~c."""
     points = np.asarray(points, dtype=np.float64)
     out = np.empty(points.shape[0], dtype=np.intp)
 
-    def descend(node, rows):
+    def descend(code, rows):
         if rows.size == 0:
             return
-        if isinstance(node, Leaf):
-            out[rows] = node.index
+        if code < 0:
+            out[rows] = ~code
             return
-        go_left = np.einsum("ij,j->i", points[rows], node.direction) < node.split
-        descend(node.left, rows[go_left])
-        descend(node.right, rows[~go_left])
+        go_left = np.einsum("ij,j->i", points[rows], tree.directions[code]) < tree.splits[code]
+        descend(tree.children[code, 0], rows[go_left])
+        descend(tree.children[code, 1], rows[~go_left])
 
-    descend(tree.root, np.arange(points.shape[0]))
+    descend(0 if tree.splits.size else -1, np.arange(points.shape[0]))
     return out
 
 
@@ -50,7 +50,7 @@ def query(forest, queries, k: int, self_ids=None, leaves=None) -> list[NeighborL
     queries = np.asarray(queries, dtype=np.float64)
     if leaves is None:
         leaves = np.column_stack([route_recursive(tree, queries) for tree in forest.trees])
-    members = [[leaf.member_ids for leaf in tree.leaves] for tree in forest.trees]
+    members = [np.split(tree.leaf_members, tree.leaf_offsets[1:-1]) for tree in forest.trees]
     rows = []
     for q in range(queries.shape[0]):
         pools = [members[t][leaves[q, t]] for t in range(len(forest.trees))]

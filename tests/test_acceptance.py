@@ -97,12 +97,13 @@ def test_criterion_3_monotone_candidates():
     truth = all_true_neighbors(data, 5)
     true_sets = [set(row.ids.tolist()) for row in truth]
     forest = build_forest(data, tree_config(1), 40, MASTER_SEED + 1)
+    indptr, members = forest.membership.indptr, forest.membership.indices
     violations = 0
     for i in range(data.n):
         candidates: set[int] = set()
         previous_missed = 5
-        for tree in forest.trees:
-            candidates |= set(tree.leaves[tree.leaf_of[i]].member_ids.tolist())
+        for leaf in forest.leaf_base[:-1] + forest.leaf_of[:, i]:  # point i's leaf in each tree, in tree order
+            candidates |= set(members[indptr[leaf] : indptr[leaf + 1]].tolist())
             missed = len(true_sets[i] - candidates)
             if missed > previous_missed:
                 violations += 1

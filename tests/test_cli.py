@@ -397,3 +397,11 @@ class TestFailFast:
         assert main(argv + flags) == code
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_named(self, tmp_path, monkeypatch, capsys, sigma):
+        # rejected before drawing, not as the NaN or Inf points it would give
+        monkeypatch.chdir(tmp_path)
+        assert main(["--dataset", f"blobs:n=10,d=2,centers=2,sigma={sigma},seed=1", "--trees", "1", "--reps", "1", "--out", "r.csv"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].endswith(f"sigma must be positive and finite, got {sigma}"), err

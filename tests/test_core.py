@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,19 +13,38 @@ from rpforest.core import (
 )
 
 
+@pytest.mark.parametrize("make", [Dataset, Dataset.from_points], ids=["Dataset", "from_points"])
 class TestDataset:
-    def test_ids_are_row_indices(self):
-        ds = Dataset.from_points([[1.0, 2.0], [3.0, 4.0]])
+    def test_ids_are_row_indices(self, make):
+        ds = make([[1.0, 2.0], [3.0, 4.0]])
         assert ds.n == 2 and ds.d == 2
         np.testing.assert_array_equal(ds.ids, [0, 1])
+        assert ds.points.dtype == np.float64 and ds.points.flags.c_contiguous
+        assert [f.name for f in dataclasses.fields(ds)] == ["points"]
 
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Dataset.from_points([[1.0, np.nan]])
+    def test_points_are_a_read_only_copy(self, make):
+        source = np.zeros((3, 2))
+        ds = make(source)
+        source[0, 0] = np.nan
+        assert np.isfinite(ds.points).all()
+        with pytest.raises(ValueError, match="read-only"):
+            ds.points[0, 0] = np.nan
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Dataset.from_points(np.empty((0, 3)))
+    def test_rejects_nan(self, make):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            make([[1.0, np.nan]])
+
+    def test_rejects_inf(self, make):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            make([[1.0, 2.0], [-np.inf, 0.0]])
+
+    def test_rejects_1d(self, make):
+        with pytest.raises(ValueError, match="2-d"):
+            make([1.0, 2.0, 3.0])
+
+    def test_rejects_empty(self, make):
+        with pytest.raises(ValueError, match="n >= 1"):
+            make(np.empty((0, 3)))
 
 
 class TestDispersion:

@@ -78,6 +78,9 @@ class TestGaussianBlobs:
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
             gen_gaussian_blobs(10, 2, 1, 0.0, seed=0)
+        for sigma in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                gen_gaussian_blobs(10, 2, 1, sigma, seed=0)
 
 
 class TestConcentricRings:

@@ -27,6 +27,14 @@ def random_dataset(seed, n=300, d=2):
     return Dataset.from_points(np.random.default_rng(seed).normal(size=(n, d)))
 
 
+def assert_same_forest(a, b):
+    """The two forests' tables are equal array by array, dtypes included."""
+    arrays = [(f.directions, f.splits, f.children, f.node_base, f.leaf_base, f.membership.indptr, f.membership.indices, f.leaf_of) for f in (a, b)]
+    for x, y in zip(*arrays):
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+
+
 class TestBuildForest:
     def test_single_tree_forest(self):
         ds = random_dataset(0)
@@ -58,6 +66,23 @@ class TestBuildForest:
         small = digests(build_forest(ds, TreeConfig(), 3, master_seed=5))
         large = digests(build_forest(ds, TreeConfig(), 8, master_seed=5))
         assert large[:3] == small
+
+    def test_seed_sequence_is_never_advanced(self):
+        ds, cfg = random_dataset(4, n=120, d=3), TreeConfig(leaf_capacity=8)
+        ss = np.random.SeedSequence(6, spawn_key=(2,))
+        first, second = (build_forest(ds, cfg, 4, ss) for _ in range(2))
+        assert ss.n_children_spawned == 0
+        assert_same_forest(first, second)
+        assert_same_forest(first, build_forest(ds, cfg, 4, np.random.SeedSequence(6, spawn_key=(2,))))
+        spawned = np.random.SeedSequence(6, spawn_key=(2,))
+        spawned.spawn(3)  # tree t is child stream t whatever the seed spawned before
+        assert_same_forest(first, build_forest(ds, cfg, 4, spawned))
+
+    @pytest.mark.parametrize("seed", [6, np.random.SeedSequence(6, spawn_key=(2,))], ids=["int", "SeedSequence"])
+    def test_master_seed_rebuilds_the_forest(self, seed):
+        ds, cfg = random_dataset(4, n=120, d=3), TreeConfig(leaf_capacity=8)
+        forest = build_forest(ds, cfg, 4, seed)
+        assert_same_forest(forest, build_forest(ds, cfg, 4, forest.master_seed))
 
 
 class TestGoldenForest:

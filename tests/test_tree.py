@@ -136,11 +136,9 @@ class TestBuildTree:
         check(tree.root)
 
     def test_empty_dataset_rejected(self):
+        # the Dataset rejects it, before any tree is built
         with pytest.raises(ValueError):
-            ds = Dataset.from_points([[1.0]])
-            object.__setattr__(ds, "ids", np.empty(0, dtype=int))
-            object.__setattr__(ds, "points", np.empty((0, 1)))
-            build_tree(ds, TreeConfig(), np.random.default_rng(0))
+            build_tree(Dataset(np.empty((0, 1))), TreeConfig(), np.random.default_rng(0))
 
 
 class TestTraverse:
