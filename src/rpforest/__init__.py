@@ -8,21 +8,18 @@ from .metrics import distance_error, missing_rate
 from .oracle import all_true_neighbors, exact_knn
 from .stats import TTestResult, two_sample_ttest
 from .strategies import Method, StrategyConfig
-from .tree import RpTree, TreeConfig, assign_leaves, build_tree
+from .tree import TreeConfig
 
 __all__ = [
     "Dataset",
     "Method",
     "NeighborList",
     "RpForest",
-    "RpTree",
     "StrategyConfig",
     "TTestResult",
     "TreeConfig",
     "all_true_neighbors",
-    "assign_leaves",
     "build_forest",
-    "build_tree",
     "dispersion",
     "distance_error",
     "exact_knn",

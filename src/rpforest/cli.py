@@ -300,6 +300,11 @@ def main(argv=None) -> int:
         for dest in ("dataset", "out"):
             if not getattr(args, dest):
                 raise ConfigError(f"--{dest} is required (flag or config file)")
+        kind = args.dataset.partition(":")[0]
+        for dest in ("csv_header", "label_column", "standardize"):
+            value = getattr(args, dest)  # None and False (also from a config file) leave it unset
+            if kind in RECIPES and value is not None and value is not False:
+                raise ConfigError(f"--{dest.replace('_', '-')} applies to CSV datasets only, not to the {kind} recipe")
         out = Path(args.out).resolve()
         if out.is_dir():
             raise IsADirectoryError(f"output path is a directory: {out}")
@@ -329,6 +334,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, OSError) else 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -10,10 +10,11 @@ import numpy as np
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """An n x d matrix of finite points, kept as a read-only contiguous float64
-    copy that no write to the caller's array can change; a point's id is its row."""
+    copy that no write to the caller's array can change; a point's id is its row.
+    Datasets compare and hash by identity."""
 
     points: np.ndarray
 
@@ -82,16 +83,18 @@ def dispersion(values, seg=None, sizes=None):
 
 class Level:
     """The gathered points of one tree level, node after node: node i is the
-    next sizes[i] rows of points, and seg holds each row's node.
+    sizes[i] rows of points from row starts[i] on, and seg holds each row's
+    node. This is the level's one copy of its node layout.
 
     project(r) is every row's projection onto its node's direction, the bits
     of einsum("ij,ij->i", points, r[seg]) without copying r to every row. The
     rows are cut into blocks of BLOCK consecutive rows (of one row below d =
     BLOCK, where a direction is a few floats and the block bookkeeping costs
-    more than the copy saves). A block inside one node is projected through
-    a view of points with one copy of its node's direction; the rows of blocks
-    that straddle nodes, and the tail rows, are projected row by row. Each
-    row's sum is the same contiguous einsum kernel either way.
+    more than the copy saves). Every block is projected through a view of
+    points with one copy of its first row's direction; the rows whose node
+    differs from their block's first row, and the tail rows, are projected
+    again row by row. Each row's sum is the same contiguous einsum kernel
+    either way.
     """
 
     BLOCK = 8
@@ -100,11 +103,10 @@ class Level:
         n, d = points.shape
         b = self.BLOCK if d >= self.BLOCK else 1
         k = n // b
-        self.points, self.sizes = points, sizes
+        self.points, self.sizes, self.starts = points, sizes, np.cumsum(sizes) - sizes
         self.seg = seg = np.repeat(np.arange(sizes.size), sizes)
         self.blocks, self.heads = points[: k * b].reshape(k, b, d), seg[: k * b : b]
-        straddle = np.flatnonzero(self.heads != seg[b - 1 : k * b : b])
-        self.rest = np.concatenate([(straddle[:, None] * b + np.arange(b)).ravel(), np.arange(k * b, n)])
+        self.rest = np.flatnonzero(seg != np.pad(self.heads.repeat(b), (0, n - k * b), constant_values=-1))
         self.rest_points, self.rest_seg = points.take(self.rest, axis=0), seg.take(self.rest)
 
     def project(self, r: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from .core import Dataset
 
 
 class CsvFormatError(ValueError):
-    """Malformed CSV: ragged rows or non-numeric cells."""
+    """Malformed CSV: ragged rows, non-numeric cells or non-finite features."""
 
 
 def load_csv(
@@ -24,6 +24,7 @@ def load_csv(
     centered only).
     """
     rows: list[list[float]] = []
+    linenos: list[int] = []  # CSV line of each data row
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for lineno, raw in enumerate(reader, start=1):
@@ -44,6 +45,7 @@ def load_csv(
                     f"{path}: row {lineno} has {len(parsed)} columns, expected {len(rows[0])}"
                 )
             rows.append(parsed)
+            linenos.append(lineno)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     matrix = np.asarray(rows, dtype=np.float64)
@@ -54,6 +56,10 @@ def load_csv(
                 f"{path}: label column {label_column} out of range for {matrix.shape[1]} columns"
             )
         matrix, columns = np.delete(matrix, label_column, axis=1), np.delete(columns, label_column)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        row, feature = bad[0]
+        raise CsvFormatError(f"{path}: non-finite value at row {linenos[row]}, column {columns[feature]}: {matrix[row, feature]}")
     if standardize:
         if matrix.shape[0] < 2:
             raise CsvFormatError(f"{path}: standardizing needs at least 2 data rows, got {matrix.shape[0]}")

@@ -35,11 +35,12 @@ class NeighborList:
         return int(self.ids.size)
 
 
-@dataclass
+@dataclass(eq=False)
 class RpForest:
     """T trees in one node table. Tree t owns node rows node_base[t]:
     node_base[t + 1] (child codes local to the tree) and rows leaf_base[t]:
-    leaf_base[t + 1] of the membership matrix."""
+    leaf_base[t + 1] of the membership matrix. Forests compare and hash by
+    identity."""
 
     tree_config: TreeConfig
     data: Dataset

@@ -43,13 +43,13 @@ class StrategyConfig:
         object.__setattr__(self, "noise_sigmas", sigmas)
 
 
-def principal_components(points: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """(m, d) first principal component of each segment of points, from one
-    stacked eigh over the (m, d, d) covariances; the first component above
-    1e-12 in magnitude is made positive."""
+def principal_components(level: Level) -> np.ndarray:
+    """(m, d) first principal component of each node's points (see
+    core.Level), from one stacked eigh over the (m, d, d) covariances; the
+    first component above 1e-12 in magnitude is made positive."""
+    points, sizes, starts = level.points, level.sizes, level.starts
     m, d = sizes.size, points.shape[1]
-    starts = np.cumsum(sizes) - sizes
-    centred = points - (np.add.reduceat(points, starts, axis=0) / sizes[:, None]).repeat(sizes, axis=0)
+    centred = points - (np.add.reduceat(points, starts, axis=0) / sizes[:, None]).take(level.seg, axis=0)
     cov = np.stack([np.add.reduceat(centred[:, [a]] * centred, starts, axis=0) for a in range(d)], axis=1)
     pc = np.linalg.eigh(cov / np.maximum(sizes - 1, 1)[:, None, None])[1][:, :, -1]
     lead = pc[np.arange(m), np.argmax(np.abs(pc) > 1e-12, axis=1)]
@@ -76,7 +76,7 @@ def choose_directions(level: Level, cfg: StrategyConfig, rngs, counts):
     if cfg.method == Method.RANDOM_DIRECTION:
         return draw(lambda rng, c: random_unit_direction(d, rng, (c,))), np.empty((m, 0))
     if cfg.method == Method.PRINCIPAL_COMPONENT:
-        return principal_components(level.points, level.sizes), np.empty((m, 0))
+        return principal_components(level), np.empty((m, 0))
 
     def score(r):
         return dispersion(level.project(r), level.seg, level.sizes)

@@ -71,19 +71,19 @@ class Internal:
     right = property(lambda self: self.tree.node(self.tree.children[self.index, 1]))
 
 
-def split_segments(values: np.ndarray, sizes: np.ndarray, u: np.ndarray):
-    """Split contiguous segments of values at their interpolated u-quantiles.
+def split_segments(values: np.ndarray, level: Level, u: np.ndarray):
+    """Split every node of a level at the interpolated u-quantile of its values.
 
-    Segment i is the next sizes[i] (>= 2) values. Returns `order`, which sorts
-    every segment ascending in place; the split value c of every segment,
-    a + frac * (b - a) between the order statistics a and b at positions
-    floor(u * (size - 1)) and the one after; and n_left, the number of values
-    below c, which are the first n_left of the sorted segment.
+    Node i's values are those of its rows (see core.Level), of which it has
+    at least 2. Returns `order`, which sorts every node's values ascending
+    in place; the split value c of every node, a + frac * (b - a) between the
+    order statistics a and b at positions floor(u * (size - 1)) and the one
+    after; and n_left, the number of values below c, which are the first
+    n_left of the sorted node.
     """
-    sizes = np.asarray(sizes)
+    sizes, seg, first = level.sizes, level.seg, level.starts
     if sizes.min(initial=2) < 2:
         raise ValueError(f"need at least 2 values per segment, got {sizes.min()}")
-    seg = np.repeat(np.arange(sizes.size), sizes)
     order = np.argsort(values)
     ordered = values[order]
     if np.any(ordered[1:] == ordered[:-1]):
@@ -94,7 +94,6 @@ def split_segments(values: np.ndarray, sizes: np.ndarray, u: np.ndarray):
         # radix sort by segment is about twice as fast as lexsort
         order = order[np.argsort(seg[order].astype(np.min_scalar_type(sizes.size)), kind="stable")]
     ordered = values[order]
-    first = np.cumsum(sizes) - sizes
     pos = u * (sizes - 1)
     lo = np.minimum(pos.astype(np.intp), sizes - 2)
     a, b = ordered[first + lo], ordered[first + lo + 1]
@@ -180,16 +179,16 @@ def _split_level(points, perm, start, size, cfg: TreeConfig, rngs, work):
         if not todo.size:
             break
         sizes = size[todo]
-        first = np.cumsum(sizes) - sizes
-        pos = np.repeat(start[todo] - first, sizes) + np.arange(sizes.sum())
+        # each node's rows of perm, node after node: the level's gather offsets
+        pos = np.repeat(start[todo] - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
         ids = perm[pos]
         level = Level(np.take(points, ids, axis=0, out=work[: ids.size], mode="clip"), sizes)
-        pts, seg = level.points, level.seg
+        pts, seg, first = level.points, level.seg, level.starts
         counts = np.bincount(start[todo] // points.shape[0], minlength=len(rngs))
         r, _ = choose_directions(level, cfg.strategy, rngs, counts)
         u = np.concatenate([rng.uniform(0.25, 0.75, k) for rng, k in zip(rngs, counts) if k])
         values = level.project(r)
-        order, cut, left = split_segments(values, sizes, u)
+        order, cut, left = split_segments(values, level, u)
         perm[pos] = ids[order]
         failed = (left == 0) | (left == sizes)
         direction[todo], c[todo], n_left[todo] = r, cut, np.where(failed, 0, left)

@@ -344,43 +344,51 @@ class TestMain:
 class TestFailFast:
     BLOBS = "blobs:n=10,d=2,centers=2,sigma=0.5,seed=1"
 
-    @pytest.mark.parametrize(
-        "csv_text, flags, code",
-        [
-            (None, ["--dataset", BLOBS, "--k", "10"], 1),  # k > n - 1
-            ("1,2,0\n3,4,1\n5,6,0\n", ["--label-column", "3"], 1),
-            ("1,2\n3,x\n", [], 1),  # non-numeric cell
-            ("1,2\n3\n", [], 1),  # ragged row
-            ("1,nan\n3,4\n", [], 1),  # non-finite value
-            (None, ["--dataset", "no_such_file.csv"], 2),
-            (None, ["--dataset", BLOBS, "--out", "no_such_dir/r.csv"], 2),
-            (None, ["--dataset", BLOBS, "--ntry", "0"], 1),
-            (None, ["--dataset", BLOBS, "--noise-sigmas", "0.01", "0.1"], 1),  # not decreasing
-            (None, ["--dataset", BLOBS, "--noise-sigmas", "-1"], 1),
-            (None, ["--dataset", BLOBS, "--ttest-threshold", "0"], 1),  # one repetition per cell
-            # config files: the value after --config is the file's JSON content
-            (None, ["--dataset", BLOBS, "--config", {"methods": 5}], 1),  # scalar for a list
-            (None, ["--dataset", BLOBS, "--config", {"noise_sigmas": ["a"]}], 1),  # list of the wrong type
-            (None, ["--dataset", BLOBS, "--config", 5], 1),  # not a JSON object
-            (None, ["--dataset", BLOBS, "--config", {"leaf_capacity": "20"}], 1),  # scalar of the wrong type
-            (None, ["--dataset", "blobs:n=50,sigm=0.1"], 1),  # unknown recipe key
-            (None, ["--dataset", "rings:n=40,radius=2"], 1),
-            (None, ["--dataset", BLOBS, "--out", "."], 2),  # an existing directory
-            (None, ["--dataset", BLOBS, "--k", "1", "--leaf-capacity", "2"], 1),  # one point per leaf
-            ("1e160,1\n-1e160,2\n0,3\n5,4\n6,5\n", [], 1),  # squared distances overflow
-            ("5,1\n", ["--standardize"], 1),  # one row has no sample std
-            ("1e160,1\n-1e160,2\n0,3\n5,4\n6,5\n", ["--standardize"], 1),  # the std overflows
-            (None, ["--dataset", BLOBS, "--seed", "-1"], 1),
-            (None, ["--dataset", BLOBS, "--methods", "1", "1"], 1),  # a repeated value
-            (None, ["--dataset", BLOBS, "--trees", "5", "5"], 1),
-            (None, ["--dataset", BLOBS, "--k", "3", "3"], 1),
-            (None, ["--dataset", BLOBS, "--noise-sigmas", "nan"], 1),
-            (None, ["--dataset", BLOBS, "--noise-sigmas", "inf", "1"], 1),
-            (None, ["--dataset", "rings:noise=nan"], 1),
-            (None, ["--dataset", "rings:n=3,radii=inf"], 1),  # no numpy warning before the error
-        ],
-    )
+    # (csv_text, flags, exit code, a substring of the error line naming the cause)
+    ROWS = [
+        (None, ["--dataset", BLOBS, "--k", "10"], 1, "max k (10) must be at most n - 1"),
+        ("1,2,0\n3,4,1\n5,6,0\n", ["--label-column", "3"], 1, "label column 3 out of range"),
+        ("1,2\n3,x\n", [], 1, "non-numeric cell at row 2, column 1"),
+        ("1,2\n3\n", [], 1, "row 2 has 1 columns, expected 2"),  # ragged row
+        ("1,nan\n3,4\n", [], 1, "d.csv: non-finite value at row 1, column 1"),
+        (None, ["--dataset", "no_such_file.csv"], 2, "No such file or directory: 'no_such_file.csv'"),
+        (None, ["--dataset", BLOBS, "--out", "no_such_dir/r.csv"], 2, "output directory does not exist"),
+        (None, ["--dataset", BLOBS, "--ntry", "0"], 1, "n_try must be >= 1"),
+        (None, ["--dataset", BLOBS, "--noise-sigmas", "0.01", "0.1"], 1, "strictly decreasing"),
+        (None, ["--dataset", BLOBS, "--noise-sigmas", "-1"], 1, "noise sigmas must be finite and positive"),
+        (None, ["--dataset", BLOBS, "--ttest-threshold", "0"], 1, "need >= 2 repetitions per cell"),
+        # config files: the value after --config is the file's JSON content
+        (None, ["--dataset", BLOBS, "--config", {"methods": 5}], 1, "config key 'methods' must be a non-empty list"),
+        (None, ["--dataset", BLOBS, "--config", {"noise_sigmas": ["a"]}], 1, "config key 'noise_sigmas'"),
+        (None, ["--dataset", BLOBS, "--config", 5], 1, "config file must hold a JSON object"),
+        (None, ["--dataset", BLOBS, "--config", {"leaf_capacity": "20"}], 1, "config key 'leaf_capacity' must be int"),
+        (None, ["--dataset", "blobs:n=50,sigm=0.1"], 1, "unknown key 'sigm'"),
+        (None, ["--dataset", "rings:n=40,radius=2"], 1, "unknown key 'radius'"),
+        (None, ["--dataset", BLOBS, "--out", "."], 2, "output path is a directory"),
+        (None, ["--dataset", BLOBS, "--k", "1", "--leaf-capacity", "2"], 1, "leaf capacity must be >= 3"),
+        ("1e160,1\n-1e160,2\n0,3\n5,4\n6,5\n", [], 1, "squared distances of the data overflow"),
+        ("5,1\n", ["--standardize"], 1, "standardizing needs at least 2 data rows"),
+        ("1e160,1\n-1e160,2\n0,3\n5,4\n6,5\n", ["--standardize"], 1, "standardizing column 0 overflows"),
+        (None, ["--dataset", BLOBS, "--seed", "-1"], 1, "--seed must be >= 0"),
+        (None, ["--dataset", BLOBS, "--methods", "1", "1"], 1, "--methods must not repeat a value"),
+        (None, ["--dataset", BLOBS, "--trees", "5", "5"], 1, "--trees must not repeat a value"),
+        (None, ["--dataset", BLOBS, "--k", "3", "3"], 1, "--k must not repeat a value"),
+        (None, ["--dataset", BLOBS, "--noise-sigmas", "nan"], 1, "noise sigmas must be finite and positive"),
+        (None, ["--dataset", BLOBS, "--noise-sigmas", "inf", "1"], 1, "noise sigmas must be finite and positive"),
+        (None, ["--dataset", "rings:noise=nan"], 1, "noise_sigma must be non-negative and finite"),
+        (None, ["--dataset", "rings:n=3,radii=inf"], 1, "radii must be positive and finite"),  # no numpy warning first
+        # CSV-only flags name themselves when the data is a generator recipe
+        (None, ["--dataset", BLOBS, "--standardize"], 1, "--standardize applies to CSV datasets only"),
+        (None, ["--dataset", BLOBS, "--label-column", "0"], 1, "--label-column applies to CSV datasets only"),
+        (None, ["--dataset", "rings:n=40", "--csv-header"], 1, "--csv-header applies to CSV datasets only"),
+        (None, ["--dataset", BLOBS, "--config", {"standardize": True}], 1, "--standardize applies to CSV"),
+        (None, ["--dataset", BLOBS, "--config", {"label_column": 0}], 1, "--label-column applies to CSV"),
+    ]
+
+    @pytest.mark.parametrize("csv_text, flags, code", [row[:3] for row in ROWS])
     def test_bad_input_gives_one_error_line(self, tmp_path, monkeypatch, capsys, csv_text, flags, code):
+        cause = next(row[3] for row in self.ROWS if row[:3] == (csv_text, flags, code))
+
         def must_not_run(*args, **kwargs):
             raise AssertionError("work started before validation finished")
 
@@ -396,7 +404,24 @@ class TestFailFast:
             flags = [*flags[:-1], "c.json"]
         assert main(argv + flags) == code
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert len(err) == 1 and err[0].startswith("error: ") and cause in err[0], err
+
+    def test_unset_csv_flags_in_config_pass(self, tmp_path, monkeypatch):
+        # false and null read as the flag not given, also for a generator recipe
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps({"csv_header": False, "label_column": None, "standardize": False}))
+        assert main(["--config", "c.json", "--dataset", self.BLOBS, "--trees", "1", "--reps", "1", "--k", "3", "--out", "r.csv"]) == 0
+
+    def test_out_of_memory_gives_one_error_line(self, tmp_path, monkeypatch, capsys):
+        # a real oversized array is never requested: the generator raises as numpy would
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 37.3 GiB for an array with shape (50, 100000000) and data type float64")
+
+        monkeypatch.setattr(rpforest.cli, "gen_gaussian_blobs", too_large)
+        monkeypatch.chdir(tmp_path)
+        assert main(["--dataset", "blobs:n=50,d=100000000", "--out", "r.csv"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of memory: Unable to allocate 37.3 GiB"), err
 
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_non_finite_sigma_named(self, tmp_path, monkeypatch, capsys, sigma):

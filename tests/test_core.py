@@ -46,6 +46,12 @@ class TestDataset:
         with pytest.raises(ValueError, match="n >= 1"):
             make(np.empty((0, 3)))
 
+    def test_compares_and_hashes_by_identity(self, make):
+        points = np.zeros((3, 2))
+        a, b = make(points), make(points)
+        assert (a == b) is False and (a == a) is True
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
 
 class TestDispersion:
     def test_constant_values(self):

@@ -41,6 +41,12 @@ class TestBuildForest:
         forest = build_forest(ds, TreeConfig(), 1, master_seed=1)
         assert len(forest.trees) == 1
 
+    def test_compares_and_hashes_by_identity(self):
+        ds = random_dataset(1, n=50)
+        a, b = (build_forest(ds, TreeConfig(), 2, master_seed=2) for _ in range(2))
+        assert (a == b) is False and (a == a) is True
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     def test_invalid_tree_count(self):
         with pytest.raises(ValueError):
             build_forest(random_dataset(1), TreeConfig(), 0, master_seed=2)

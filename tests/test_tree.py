@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import reference
-from rpforest.core import Dataset
+from rpforest.core import Dataset, Level
 from rpforest.strategies import Method, StrategyConfig
 from rpforest.tree import (
     Internal,
@@ -25,10 +25,15 @@ def random_dataset(seed, n=1000, d=2):
     return Dataset.from_points(np.random.default_rng(seed).uniform(size=(n, d)))
 
 
+def split(values, sizes, u):
+    """split_segments on a level of one-column points holding the values."""
+    values = np.asarray(values, dtype=np.float64)
+    return split_segments(values, Level(values[:, None], np.array(sizes)), np.array(u))
+
+
 def split_point(values, u):
     """split_segments on one segment: its split value."""
-    values = np.asarray(values, dtype=np.float64)
-    return split_segments(values, np.array([values.size]), np.array([u]))[1][0]
+    return split(values, [len(values)], [u])[1][0]
 
 
 class TestPickSplitPoint:
@@ -41,12 +46,12 @@ class TestPickSplitPoint:
 
     def test_all_equal_is_degenerate(self):
         # no value lies below the split: the left side is empty
-        _, c, n_left = split_segments(np.full(10, 7.0), np.array([10]), np.array([0.4]))
+        _, c, n_left = split(np.full(10, 7.0), [10], [0.4])
         assert c[0] == 7.0 and n_left[0] == 0
 
     def test_too_few_values(self):
         with pytest.raises(ValueError):
-            split_segments(np.array([1.0, 2.0, 3.0]), np.array([2, 1]), np.array([0.5, 0.5]))
+            split([1.0, 2.0, 3.0], [2, 1], [0.5, 0.5])
 
     def test_median_interpolation(self):
         # {0,1,2,3} at u=0.5 interpolates to 1.5
@@ -62,7 +67,7 @@ class TestPickSplitPoint:
     def test_unsorted_input(self):
         # several segments at once: each is sorted in place, left part first
         values = np.array([3.0, 0.0, 2.0, 1.0, 9.0, 5.0, 7.0])
-        order, c, n_left = split_segments(values, np.array([4, 3]), np.array([0.5, 0.5]))
+        order, c, n_left = split(values, [4, 3], [0.5, 0.5])
         assert values[order].tolist() == [0.0, 1.0, 2.0, 3.0, 5.0, 7.0, 9.0]
         assert c.tolist() == [1.5, 7.0] and n_left.tolist() == [2, 1]
 
