@@ -1,5 +1,6 @@
 """Numeric primitives shared by the tree, forest and evaluation code."""
 
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -61,6 +62,18 @@ def check_self_ids(self_ids, m: int, n: int) -> np.ndarray:
     if m and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= n):
         raise ValueError(f"self ids must be integers in [0, {n}), got {ids.dtype} in [{ids.min()}, {ids.max()}]")
     return ids
+
+
+def check_k(k, limit: int | None = None) -> int:
+    """k as an int (operator.index) in [1, limit], no upper bound for limit
+    None, else ValueError."""
+    try:
+        index = operator.index(k)
+    except TypeError:
+        index = 0
+    if index < 1 or (limit is not None and index > limit):
+        raise ValueError(f"k must be an integer in [1, {'inf' if limit is None else limit}], got {k!r}")
+    return index
 
 
 def dispersion(values, seg=None, sizes=None):

@@ -102,11 +102,11 @@ def gen_concentric_rings(n: int, radii, noise_sigma: float, seed: int) -> Datase
     """2-d points at evenly spaced angles on each ring plus radial noise."""
     radii = np.asarray(radii, dtype=np.float64)
     if radii.size == 0 or not np.all((radii > 0) & (radii < np.inf)):
-        raise ValueError("radii must be positive and finite")
+        raise ValueError(f"radii must be positive and finite, got {radii.tolist()!r}")
     if np.unique(radii).size != radii.size:
         raise ValueError("radii must be distinct")
     if not 0 <= noise_sigma < np.inf:
-        raise ValueError("noise_sigma must be non-negative and finite")
+        raise ValueError(f"noise_sigma must be non-negative and finite, got {noise_sigma!r}")
     rng = np.random.default_rng(seed)
     points = np.empty((n, 2))
     assignment = np.arange(n) % radii.size

@@ -14,7 +14,7 @@ import scipy.sparse
 from scipy.sparse import _sparsetools
 
 from . import core
-from .core import Dataset, check_queries, check_self_ids
+from .core import Dataset, check_k, check_queries, check_self_ids
 # build_tree stays importable from here: the benchmark's tracer wraps rpforest.forest.build_tree
 from .tree import RpTree, TreeConfig, build_tree, build_trees, route, routing_table, tree_views  # noqa: F401
 
@@ -24,9 +24,10 @@ POOL_BYTES = 16 << 20  # working-set budget of the query chunks of all workers t
 BUILD_BYTES = 4 << 20
 
 
-@dataclass
+@dataclass(eq=False)
 class NeighborList:
-    """(id, distance) pairs sorted ascending by (distance, id)."""
+    """(id, distance) pairs sorted ascending by (distance, id). Rows compare
+    and hash by identity."""
 
     ids: np.ndarray
     distances: np.ndarray
@@ -117,13 +118,18 @@ def _spans(counts: np.ndarray, cap: int):
 def _pool(forest: RpForest, leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, indices) of the (m, n) candidate pools of (m, T)
     membership rows: row q holds every point that shares a leaf with query q.
-    scipy's compiled CSR product runs bare: for one query its wrappers cost more."""
+    scipy's compiled CSR product runs bare: for one query its wrappers cost more.
+    The output is sized by the members of ind's leaves counted before merging,
+    which the merged count cannot exceed: the kernel writes without bounds
+    checks. The indices are then cut to the merged count in place, so their
+    unwritten tail goes back to the allocator before ranking allocates."""
     csr, (m, n_trees) = forest.membership, leaves.shape
     ind = leaves.astype(csr.indices.dtype).ravel()  # the kernels take one index dtype
     lhs = (np.arange(0, ind.size + 1, n_trees, dtype=ind.dtype), ind)  # (queries x leaves) indptr, indices
-    nnz = _sparsetools.csr_matmat_maxnnz(m, forest.data.n, *lhs, csr.indptr, csr.indices)
+    nnz = int((csr.indptr[ind + 1] - csr.indptr[ind]).sum())
     out = (np.empty(m + 1, ind.dtype), np.empty(nnz, ind.dtype), np.empty(nnz, bool))  # the pools' CSR
     _sparsetools.csr_matmat(m, forest.data.n, *lhs, np.ones(ind.size, bool), csr.indptr, csr.indices, csr.data, *out)
+    out[1].resize(out[0][-1], refcheck=False)
     return out[:2]
 
 
@@ -174,8 +180,7 @@ def _kernel(forest: RpForest, queries, k: int, self_ids=None, leaves=None) -> li
     and rank in _search, each query's width being 8 bytes per candidate
     before merging (the pooling product's input); ranking spans are sized
     after merging."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = check_k(k)
     queries = check_queries(queries, forest.data.d)
     m = queries.shape[0]
     self_ids = check_self_ids(self_ids, m, forest.data.n)

@@ -10,30 +10,38 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import check_k
 from .forest import NeighborList
 
 
-def _check_tables(truth: Sequence[NeighborList], found: Sequence[NeighborList], k: int):
-    if len(truth) != len(found):
-        raise ValueError(f"row-count mismatch: truth has {len(truth)}, found has {len(found)}")
-    if len(truth) == 0:
-        raise ValueError("empty tables")
-    for i, row in enumerate(truth):
-        if len(row) != k:
-            raise ValueError(f"truth row {i} has {len(row)} entries, expected k={k}")
+def _read(truth: Sequence[NeighborList], found: Sequence[NeighborList], k: int):
+    """k and each table's rows, read once, as (row lengths, ids, distances).
+    Checks k, equal and non-zero row counts, truth rows of k entries and
+    non-negative ids, else ValueError."""
+    k = check_k(k)
+    if len(truth) != len(found) or len(truth) == 0:
+        raise ValueError(f"empty tables or a row-count mismatch: truth has {len(truth)} rows, found has {len(found)}")
+    tables = []
+    for name, table in (("truth", truth), ("found", found)):
+        ids, dists = zip(*[(row.ids, row.distances) for row in table])
+        lengths = np.fromiter(map(len, ids), np.intp, len(ids))
+        ids = np.concatenate(ids).astype(np.intp, copy=False)
+        if (low := ids.min(initial=0)) < 0:
+            raise ValueError(f"{name} ids must be non-negative, got {low}")
+        tables.append((lengths, ids, np.concatenate(dists)))
+    if (bad := np.flatnonzero(tables[0][0] != k)).size:
+        raise ValueError(f"truth row {bad[0]} has {tables[0][0][bad[0]]} entries, expected k={k}")
+    return k, *tables
 
 
 def missing_rate(
     truth: Sequence[NeighborList], found: Sequence[NeighborList], k: int
 ) -> tuple[float, np.ndarray]:
     """Average missing rate: sum of per-point missed true neighbors over n*k."""
-    _check_tables(truth, found, k)
-    n = len(truth)
+    k, (_, true_ids, _), (lengths, found_ids, _) = _read(truth, found, k)
+    n = lengths.size
     # (row, id) keys: a true neighbour is missed when its key is not found
-    true_ids = np.concatenate([row.ids for row in truth])
-    found_ids = np.concatenate([row.ids for row in found]).astype(np.intp)
     span = 1 + max(int(true_ids.max()), int(found_ids.max(initial=0)))
-    lengths = np.array([len(row) for row in found], dtype=np.intp)
     true_rows = np.arange(n).repeat(k)
     found_keys = np.arange(n).repeat(lengths) * span + found_ids
     hit = np.isin(true_rows * span + true_ids, found_keys, assume_unique=True)
@@ -50,12 +58,9 @@ def distance_error(
     empty found rows are excluded from the average and counted separately.
     Returns (mean error, number of excluded rows).
     """
-    _check_tables(truth, found, k)
-    lengths = np.array([len(row) for row in found])
+    k, (_, _, true_dists), (lengths, _, found_dists) = _read(truth, found, k)
     kept = lengths > 0
     if not kept.any():
         return float("nan"), int(lengths.size)
-    d_true = np.concatenate([row.distances for row in truth])[k - 1 :: k]
     ends = np.cumsum(lengths) - lengths + np.minimum(k, lengths) - 1
-    d_found = np.concatenate([row.distances for row in found])[ends[kept]]
-    return float(np.mean(d_found - d_true[kept])), int(np.count_nonzero(~kept))
+    return float(np.mean(found_dists[ends[kept]] - true_dists[k - 1 :: k][kept])), int(np.count_nonzero(~kept))

@@ -13,14 +13,16 @@ independent check is tests/reference.py.
 
 import numpy as np
 
-from .core import Dataset, check_queries, check_self_ids
+from .core import Dataset, check_k, check_queries, check_self_ids
 from .forest import NeighborList, _search
 
 _EPS, _TINY, _HUGE = np.finfo(np.float64).eps / 2, np.finfo(np.float64).tiny, np.finfo(np.float64).max / 8
 
 
-def _rows(data: Dataset, queries: np.ndarray, self_ids: np.ndarray, k: int) -> list[NeighborList]:
-    """The k nearest points to each query row, without its self id (-1: none).
+def _rows(data: Dataset, queries, self_ids, k: int) -> list[NeighborList]:
+    """The k nearest points to each query row, without its self id (self_ids
+    None: none). Queries, self ids and k are checked here, once for both entry
+    points: k is at most n, or n - 1 when a row leaves out its self id.
 
     The data is centred once per call. Filtering a row holds 17 n bytes, its
     width in _search: the float64 Gram row, its partition copy, a bool mask.
@@ -49,6 +51,9 @@ def _rows(data: Dataset, queries: np.ndarray, self_ids: np.ndarray, k: int) -> l
     subnormals to zero). The bound needs every term finite: a row with
     sigma > max / 8 could overflow in g or in s_s, and takes every column.
     """
+    queries = check_queries(queries, data.d)
+    self_ids = check_self_ids(self_ids, queries.shape[0], data.n)
+    k = check_k(k, data.n - int((self_ids >= 0).any()))
     centre = data.points.mean(axis=0)
     x, y = queries - centre, data.points - centre
     with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow take every column below
@@ -76,15 +81,9 @@ def _rows(data: Dataset, queries: np.ndarray, self_ids: np.ndarray, k: int) -> l
 
 def exact_knn(data: Dataset, x, k: int, self_id: int | None = None) -> NeighborList:
     """The k nearest points to x by (distance, id), leaving out self_id."""
-    limit = data.n - 1 if self_id is not None else data.n
-    if k < 1 or k > limit:
-        raise ValueError(f"k must be in [1, {limit}], got {k}")
-    query = check_queries(np.asarray(x, dtype=np.float64)[None], data.d)
-    return _rows(data, query, check_self_ids(None if self_id is None else [self_id], 1, data.n), k)[0]
+    return _rows(data, np.asarray(x, dtype=np.float64)[None], None if self_id is None else [self_id], k)[0]
 
 
 def all_true_neighbors(data: Dataset, k: int) -> list[NeighborList]:
     """exact_knn for every dataset point with self-exclusion."""
-    if k < 1 or k > data.n - 1:
-        raise ValueError(f"k must be in [1, {data.n - 1}], got {k}")
     return _rows(data, data.points, data.ids, k)

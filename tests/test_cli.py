@@ -375,14 +375,20 @@ class TestFailFast:
         (None, ["--dataset", BLOBS, "--k", "3", "3"], 1, "--k must not repeat a value"),
         (None, ["--dataset", BLOBS, "--noise-sigmas", "nan"], 1, "noise sigmas must be finite and positive"),
         (None, ["--dataset", BLOBS, "--noise-sigmas", "inf", "1"], 1, "noise sigmas must be finite and positive"),
-        (None, ["--dataset", "rings:noise=nan"], 1, "noise_sigma must be non-negative and finite"),
-        (None, ["--dataset", "rings:n=3,radii=inf"], 1, "radii must be positive and finite"),  # no numpy warning first
+        (None, ["--dataset", "rings:noise=nan"], 1, "noise_sigma must be non-negative and finite, got nan"),
+        (None, ["--dataset", "rings:n=3,radii=inf"], 1, "radii must be positive and finite, got [inf]"),  # no numpy warning first
         # CSV-only flags name themselves when the data is a generator recipe
         (None, ["--dataset", BLOBS, "--standardize"], 1, "--standardize applies to CSV datasets only"),
         (None, ["--dataset", BLOBS, "--label-column", "0"], 1, "--label-column applies to CSV datasets only"),
         (None, ["--dataset", "rings:n=40", "--csv-header"], 1, "--csv-header applies to CSV datasets only"),
         (None, ["--dataset", BLOBS, "--config", {"standardize": True}], 1, "--standardize applies to CSV"),
         (None, ["--dataset", BLOBS, "--config", {"label_column": 0}], 1, "--label-column applies to CSV"),
+        # grid values and CSV files with no valid rows
+        (None, ["--dataset", BLOBS, "--trees", "0"], 1, "forest sizes must be positive"),
+        (None, ["--dataset", BLOBS, "--k", "0"], 1, "k values must be positive"),
+        (None, ["--dataset", BLOBS, "--reps", "0"], 1, "repetitions must be >= 1"),
+        ("1,2\n\n3,x\n", [], 1, "non-numeric cell at row 3, column 1"),  # blank lines skipped, still counted
+        ("\n", [], 1, "d.csv: no data rows"),
     ]
 
     @pytest.mark.parametrize("csv_text, flags, code", [row[:3] for row in ROWS])

@@ -82,6 +82,14 @@ class TestGaussianBlobs:
             with pytest.raises(ValueError, match="positive and finite"):
                 gen_gaussian_blobs(10, 2, 1, sigma, seed=0)
 
+    @pytest.mark.parametrize(
+        "n, centers, message",
+        [(1, 1, "need n >= 2, got 1"), (10, 0, "need at least one center"), (10, np.zeros((2, 3)), "centers have d=3, expected 2")],
+    )
+    def test_bad_arguments_named(self, n, centers, message):
+        with pytest.raises(ValueError, match=message):
+            gen_gaussian_blobs(n, 2, centers, 0.5, seed=0)
+
 
 class TestConcentricRings:
     def test_noiseless_circle(self):

@@ -161,6 +161,14 @@ class TestQueryKnn:
         with pytest.raises(ValueError):
             query_knn(forest, ds.points[0], 0)
 
+    def test_rows_compare_and_hash_by_identity(self):
+        ds = random_dataset(8, n=50)
+        forest = build_forest(ds, TreeConfig(), 2, master_seed=11)
+        a, b = (query_knn(forest, ds.points[0], 2) for _ in range(2))
+        np.testing.assert_array_equal(a.ids, b.ids)
+        assert (a == b) is False and (a == a) is True
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     def test_distances_are_recomputed_euclidean(self):
         ds = random_dataset(9)
         forest = build_forest(ds, TreeConfig(), 4, master_seed=12)
@@ -185,6 +193,9 @@ class TestQueryValidation:
             (lambda f: query_batch(f, np.zeros((2, 2)), 3, self_ids=[0, 50]), "self ids"),
             (lambda f: query_batch(f, np.zeros((2, 2)), 3, self_ids=[-1, 0]), "self ids"),
             (lambda f: query_batch(f, np.zeros((2, 2)), 3, self_ids=[0.0, 1.0]), "self ids"),
+            (lambda f: query_batch(f, np.zeros((2, 2)), 5.0), "k must be an integer in \\[1, inf\\], got 5.0"),
+            (lambda f: query_knn(f, [0.0, 0.0], np.float64(3)), "k must be an integer"),
+            (lambda f: query_all_training(f, "3"), "k must be an integer"),
         ],
     )
     def test_bad_queries_rejected(self, call, message):

@@ -101,3 +101,27 @@ class TestDistanceError:
             d_bar, _ = distance_error(truth, found, 5)
             assert d_bar >= -1e-15
 
+
+@pytest.mark.parametrize("metric", [missing_rate, distance_error])
+class TestBadTables:
+    """Both metrics read and check the tables in one place."""
+
+    @pytest.mark.parametrize(
+        "truth, found, k, message",
+        [
+            # keyed as row * span + id, the -1 in found row 1 would match id 4 of row 0
+            ([row([0, 4]), row([1, 2])], [row([0, 3]), row([1, -1])], 2, "found ids must be non-negative, got -1"),
+            ([row([0, -1])], [row([0, 1])], 2, "truth ids must be non-negative"),
+            ([], [], 1, "empty tables"),
+            ([row([0, 1])], [row([0, 1])], 2.0, "k must be an integer in \\[1, inf\\], got 2.0"),
+            ([row([0, 1])], [row([0, 1])], np.int64(0), "k must be an integer in \\[1, inf\\], got np.int64\\(0\\)"),
+            ([row([0, 1]), row([2])], [row([0, 1]), row([2])], 2, "truth row 1 has 1 entries, expected k=2"),
+        ],
+    )
+    def test_rejected(self, metric, truth, found, k, message):
+        with pytest.raises(ValueError, match=message):
+            metric(truth, found, k)
+
+    def test_integer_k_of_any_type(self, metric):
+        truth = [row([0, 1], [0.5, 1.0])]
+        assert metric(truth, truth, np.int64(2))[0] == 0.0

@@ -134,6 +134,11 @@ class TestExactKnn:
             (lambda ds: exact_knn(ds, [0.0, 0.0], 3, self_id=-1), "self ids"),
             (lambda ds: exact_knn(ds, [0.0, 0.0], 3, self_id=ds.n), "self ids"),
             (lambda ds: exact_knn(ds, [0.0, 0.0], 3, self_id=1.0), "self ids"),
+            (lambda ds: exact_knn(ds, [0.0, 0.0], 3.0), "k must be an integer in \\[1, 10\\], got 3.0"),
+            (lambda ds: exact_knn(ds, [0.0, 0.0], np.float64(3), self_id=0), "k must be an integer"),
+            (lambda ds: all_true_neighbors(ds, 2.5), "k must be an integer"),
+            (lambda ds: all_true_neighbors(ds, 0), r"k must be an integer in \[1, 9\], got 0"),
+            (lambda ds: all_true_neighbors(ds, ds.n), r"k must be an integer in \[1, 9\], got 10"),
         ],
     )
     def test_bad_inputs_rejected(self, call, message):

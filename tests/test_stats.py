@@ -106,5 +106,10 @@ class TestTCdf:
         for df, t_crit in table.items():
             assert student_t_two_sided_pvalue(t_crit, df) == pytest.approx(0.05, abs=1e-9)
 
+    @pytest.mark.parametrize("df", [0, -1.5])
+    def test_non_positive_df_rejected(self, df):
+        with pytest.raises(ValueError, match="df must be positive"):
+            student_t_two_sided_pvalue(1.0, df)
+
     def test_zero_statistic(self):
         assert student_t_two_sided_pvalue(0.0, 7) == pytest.approx(1.0, abs=1e-12)

@@ -140,6 +140,10 @@ class TestBuildTree:
         assert isinstance(tree.root, Internal)
         check(tree.root)
 
+    def test_leaf_capacity_below_2_rejected(self):
+        with pytest.raises(ValueError, match="leaf_capacity must be >= 2, got 1"):
+            TreeConfig(leaf_capacity=1)
+
     def test_empty_dataset_rejected(self):
         # the Dataset rejects it, before any tree is built
         with pytest.raises(ValueError):
