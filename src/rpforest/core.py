@@ -52,10 +52,10 @@ def check_queries(queries, d: int) -> np.ndarray:
     return q
 
 
-def check_self_ids(self_ids, m: int, n: int) -> np.ndarray:
-    """m integer ids in [0, n) to leave out, else ValueError; None gives m -1s (none)."""
+def check_self_ids(self_ids, m: int, n: int) -> np.ndarray | None:
+    """m integer ids in [0, n) to leave out, else ValueError; None (none) stays None."""
     if self_ids is None:
-        return np.full(m, -1)
+        return None
     ids = np.asarray(self_ids)
     if ids.shape != (m,):
         raise ValueError(f"self_ids has shape {ids.shape}, expected ({m},)")

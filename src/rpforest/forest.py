@@ -1,9 +1,11 @@
 """Random projection forest: T independently seeded trees, pooled at query time.
 
-One kernel answers all three query paths: route every (query, tree) pair
-together (training points read their stored leaves), pool each query's
-candidates with one sparse (queries x leaves) . (leaves x points) product, and
-keep each row's k nearest by (distance, id) in _search, the oracle's driver too.
+One kernel answers all three query paths in three steps: route every (query,
+tree) pair together (training points read their stored leaves), pool each
+query's candidates with one sparse (queries x leaves) . (leaves x points)
+product, and rank: keep each row's k nearest by (distance, id). A lone query
+goes straight from routing to pooling to ranking; a batch is cut into chunks
+that are pooled and ranked in _search, the oracle's driver too.
 """
 
 from dataclasses import dataclass
@@ -134,16 +136,29 @@ def _pool(forest: RpForest, leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _rank(points, queries, indptr, indices, k: int, self_ids) -> list[NeighborList]:
-    """The k best (distance, id) pairs of each pool row, minus the row's own id.
-    Rows padded with inf give each row's k-th distance by partitioning; the
-    flat candidates (in row order) up to it, ties included, get sorted."""
-    m = queries.shape[0]
+    """The k best (distance, id) pairs of each pool row, minus the row's own id
+    (self_ids None: none). A lone row partitions its distances for its k-th;
+    2+ rows padded with inf give each row's k-th by partitioning the grid.
+    The flat candidates (in row order) up to it, ties included, get sorted."""
+    m, ids = queries.shape[0], indices[indptr[0] : indptr[-1]]
+    if m == 1:
+        if self_ids is not None:
+            ids = ids[ids != self_ids[0]]
+        diffs = points.take(ids, axis=0)
+        diffs -= queries[0]
+        dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+        if k < ids.size:  # up to the k-th distance
+            pick = dists <= np.partition(dists, k - 1)[k - 1]
+            ids, dists = ids[pick], dists[pick]
+        order = np.lexsort((ids, dists))[:k]
+        return [NeighborList(ids[order].astype(np.intp), dists[order])]
     row = np.repeat(np.arange(m), np.diff(indptr))
-    ids = indices[indptr[0] : indptr[-1]].astype(np.intp)
-    keep = ids != self_ids[row]
-    ids, row = ids[keep], row[keep]
+    if self_ids is not None:
+        keep = ids != self_ids[row]
+        ids, row = ids[keep], row[keep]
     counts = np.bincount(row, minlength=m)
-    diffs = points.take(ids, axis=0) - queries.take(row, axis=0)
+    diffs = points.take(ids, axis=0)
+    diffs -= queries.take(row, axis=0)
     dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
     grid = np.full((m, max(1, int(counts.max(initial=0)))), np.inf)  # rows padded to the longest
     grid[row, np.arange(ids.size) - np.repeat(np.cumsum(counts) - counts, counts)] = dists
@@ -151,7 +166,7 @@ def _rank(points, queries, indptr, indices, k: int, self_ids) -> list[NeighborLi
     pick = dists <= np.partition(grid, last, axis=1)[row, last]  # up to each k-th distance
     row, ids, dists = row[pick], ids[pick], dists[pick]
     order = np.lexsort((ids, dists, row))
-    ids, dists = ids[order], dists[order]
+    ids, dists = ids[order].astype(np.intp), dists[order]
     starts = np.searchsorted(row, np.arange(m)).tolist()  # row stays sorted
     return [NeighborList(ids[s : s + n], dists[s : s + n]) for s, n in zip(starts, np.minimum(counts, k).tolist())]
 
@@ -169,17 +184,18 @@ def _search(points, queries, self_ids, k: int, widths, pool) -> list[NeighborLis
         rows = []
         for a, b in _spans(np.diff(indptr), budget // (8 * (3 * points.shape[1] + 6))):
             span = slice(lo + a, lo + b)
-            rows += _rank(points, queries[span], indptr[a : b + 1], indices, k, self_ids[span])
+            own = None if self_ids is None else self_ids[span]
+            rows += _rank(points, queries[span], indptr[a : b + 1], indices, k, own)
         return rows
 
     return [row for part in core.parallel_map(task, _spans(widths, budget)) for row in part]
 
 
 def _kernel(forest: RpForest, queries, k: int, self_ids=None, leaves=None) -> list[NeighborList]:
-    """The forest's query path: route (unless leaves are given), then pool
-    and rank in _search, each query's width being 8 bytes per candidate
-    before merging (the pooling product's input); ranking spans are sized
-    after merging."""
+    """The forest's query path: route (unless leaves are given), pool and
+    rank. A lone query is pooled and ranked directly; a batch goes through
+    _search, each query's width being 8 bytes per candidate before merging
+    (the pooling product's input), with ranking spans sized after merging."""
     k = check_k(k)
     queries = check_queries(queries, forest.data.d)
     m = queries.shape[0]
@@ -187,10 +203,13 @@ def _kernel(forest: RpForest, queries, k: int, self_ids=None, leaves=None) -> li
     if leaves is None:  # route in blocks whose gathered points and directions fit the budget
         step = max(1, POOL_BYTES // (16 * forest.data.d * (forest.node_base.size - 1)))
         leaves = np.concatenate([route(*forest.routes, queries[lo : lo + step]) for lo in range(0, max(m, 1), step)])
+    if m == 1:  # chunks, spans and the reorder below would all be identities
+        return _rank(forest.data.points, queries, *_pool(forest, leaves), k, self_ids)
     # queries sharing a first-tree leaf share most candidates: taken together
     # they keep a chunk's gathered points in cache
     order = np.argsort(leaves[:, 0], kind="stable")
-    leaves, queries, self_ids = leaves[order], queries[order], self_ids[order]
+    leaves, queries = leaves[order], queries[order]
+    self_ids = None if self_ids is None else self_ids[order]
     merged = (forest.membership.indptr[leaves + 1] - forest.membership.indptr[leaves]).sum(axis=1)
     rows = _search(forest.data.points, queries, self_ids, k, 8 * merged, lambda lo, hi: _pool(forest, leaves[lo:hi]))
     return [rows[i] for i in np.argsort(order).tolist()]

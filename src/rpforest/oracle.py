@@ -53,7 +53,7 @@ def _rows(data: Dataset, queries, self_ids, k: int) -> list[NeighborList]:
     """
     queries = check_queries(queries, data.d)
     self_ids = check_self_ids(self_ids, queries.shape[0], data.n)
-    k = check_k(k, data.n - int((self_ids >= 0).any()))
+    k = check_k(k, data.n - (self_ids is not None))
     centre = data.points.mean(axis=0)
     x, y = queries - centre, data.points - centre
     with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow take every column below
@@ -62,13 +62,13 @@ def _rows(data: Dataset, queries, self_ids, k: int) -> list[NeighborList]:
         tol = 16 * (data.d + 4) * (_EPS * sigma + _TINY)
 
     def pool(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        own = np.flatnonzero(self_ids[lo:hi] >= 0)
         with np.errstate(over="ignore", invalid="ignore"):
             g = x[lo:hi] @ y.T
             g *= -2.0
             g += y2
             g += x2[lo:hi, None]
-            g[own, self_ids[lo + own]] = np.inf
+            if self_ids is not None:
+                g[np.arange(hi - lo), self_ids[lo:hi]] = np.inf
             kth = np.partition(g, k - 1, axis=1)[:, k - 1]
             keep = g <= (kth + tol[lo:hi])[:, None]
         del g

@@ -249,7 +249,7 @@ def route(directions, splits, child, root, points) -> np.ndarray:
     row, x, n_int = np.tile(root, points.shape[0]), np.repeat(points, root.size, axis=0), splits.size
     while row.min(initial=n_int) < n_int:
         proj = np.einsum("ij,ij->i", x, directions.take(row, axis=0, mode="clip"))
-        row = child.take(2 * row + (proj >= splits.take(row, mode="clip")))
+        row = child.take(row + row + (proj >= splits.take(row, mode="clip")))
     return (row - n_int).reshape(points.shape[0], root.size)
 
 

@@ -12,6 +12,7 @@ import rpforest.forest
 from rpforest.core import Dataset
 from rpforest.data import gen_gaussian_blobs
 from rpforest.forest import (
+    _rank,
     _spans,
     build_forest,
     query_all_training,
@@ -253,14 +254,20 @@ class TestQueryAllTraining:
 
 
 class TestQueryBatch:
-    def test_matches_query_knn(self):
+    @pytest.mark.parametrize("own", [False, True], ids=["no_self_ids", "self_ids"])
+    def test_matches_query_knn(self, own):
         ds = random_dataset(13)
         forest = build_forest(ds, TreeConfig(), 5, master_seed=15)
         queries = np.random.default_rng(16).normal(size=(30, 2))
-        batched = query_batch(forest, queries, 4)
-        for q, row in zip(queries, batched):
-            single = query_knn(forest, q, 4)
+        self_ids = np.arange(0, ds.n, 10) if own else None
+        if own:  # every other query sits on its own point
+            queries[::2] = ds.points[self_ids[::2]]
+        batched = query_batch(forest, queries, 4, self_ids)
+        for i, row in enumerate(batched):
+            single = query_knn(forest, queries[i], 4, None if self_ids is None else int(self_ids[i]))
+            assert (single.ids.dtype, single.distances.dtype) == (row.ids.dtype, row.distances.dtype)
             np.testing.assert_array_equal(row.ids, single.ids)
+            np.testing.assert_array_equal(row.distances, single.distances)
 
     def test_empty_batch_and_huge_k(self):
         ds = random_dataset(18)
@@ -269,6 +276,45 @@ class TestQueryBatch:
         # k beyond the pool returns the whole pool without sizing anything by k
         found = query_knn(forest, ds.points[0], 10**12, self_id=0)
         assert 0 < len(found) < ds.n
+
+
+@st.composite
+def rank_calls(draw):
+    """A _rank call of 2+ rows, the row i to rank alone, and k. The pools are
+    empty, only the row's self id, ids twice over or any ids; integer-grid
+    points give exact distance ties, and points scaled by 1e200 inf distances.
+    k is 1, row i's pool size or above it."""
+    n, d, m = draw(st.integers(1, 12)), draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = draw(st.sampled_from([1.0, 1e200])) * rng.integers(-2, 3, size=(n, d))
+    queries = rng.integers(-2, 3, size=(m, d)).astype(np.float64)
+    self_ids = rng.integers(0, n, size=m) if draw(st.booleans()) else None
+    pools = []
+    for row in range(m):
+        kind = draw(st.sampled_from(["empty", "own", "twice", "any"]))
+        ids = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+        own = [ids[0] if self_ids is None else self_ids[row]]
+        pools.append({"empty": [], "own": own, "twice": ids + ids, "any": ids}[kind])
+    indptr = np.cumsum([0] + [len(p) for p in pools])
+    indices = np.array(sum(pools, []), dtype=draw(st.sampled_from([np.int32, np.intp])))
+    i = draw(st.integers(0, m - 1))
+    k = draw(st.sampled_from([1, max(1, len(pools[i])), len(pools[i]) + 1, 10**12]))
+    return points, queries, indptr, indices, self_ids, i, k
+
+
+class TestRank:
+    @settings(max_examples=300, deadline=None)
+    @given(rank_calls())
+    def test_lone_row_ranks_as_in_a_batch(self, call):
+        """A lone row takes _rank's one-row branch; the same row inside a call
+        of 2+ rows takes the padded-grid path. Both give the same bytes."""
+        points, queries, indptr, indices, self_ids, i, k = call
+        own = None if self_ids is None else self_ids[i : i + 1]
+        alone = _rank(points, queries[i : i + 1], indptr[i : i + 2], indices, k, own)
+        inside = _rank(points, queries, indptr, indices, k, self_ids)[i]
+        assert len(alone) == 1 and len(inside) <= k
+        for a, b in ((alone[0].ids, inside.ids), (alone[0].distances, inside.distances)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestWorkers:

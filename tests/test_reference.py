@@ -62,10 +62,13 @@ def test_query_paths_match_reference(case):
     assert_same_rows(query_batch(forest, queries, k), expected)
     assert_same_rows([query_knn(forest, q, k) for q in queries], expected)
     self_ids = np.arange(queries.shape[0]) % forest.data.n
-    assert_same_rows(
-        query_batch(forest, queries, k, self_ids=self_ids),
-        reference.query(forest, queries, k, self_ids=self_ids),
-    )
+    expected = reference.query(forest, queries, k, self_ids=self_ids)
+    batch = query_batch(forest, queries, k, self_ids=self_ids)
+    single = [query_knn(forest, q, k, self_id=int(s)) for q, s in zip(queries, self_ids)]
+    assert_same_rows(batch, expected)
+    assert_same_rows(single, expected)
+    for a, b in zip(single, batch):  # a lone row is ranked apart from a batch's rows
+        assert (a.ids.dtype, a.distances.dtype) == (b.ids.dtype, b.distances.dtype)
 
 
 @settings(max_examples=150, deadline=None)
