@@ -243,7 +243,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
     pre, _ = parser.parse_known_args(argv)
     if pre.config:
         with open(pre.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{pre.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file must hold a JSON object, got {type(file_cfg).__name__}")
         actions = {action.dest: action for action in parser._actions}
@@ -256,8 +259,13 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
     return parser.parse_args(argv)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad value or unknown flag: one error line from main, not usage and exit 2
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rpforest-bench",
         description="Benchmark k-nn search quality of random projection forests.",
     )

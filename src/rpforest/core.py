@@ -101,20 +101,17 @@ class Level:
 
     project(r) is every row's projection onto its node's direction, the bits
     of einsum("ij,ij->i", points, r[seg]) without copying r to every row. The
-    rows are cut into blocks of BLOCK consecutive rows (of one row below d =
-    BLOCK, where a direction is a few floats and the block bookkeeping costs
-    more than the copy saves). Every block is projected through a view of
-    points with one copy of its first row's direction; the rows whose node
-    differs from their block's first row, and the tail rows, are projected
-    again row by row. Each row's sum is the same contiguous einsum kernel
-    either way.
+    rows are cut into blocks of BLOCK consecutive rows, at every d. Every
+    block is projected through a view of points with one copy of its first
+    row's direction; the rows whose node differs from their block's first
+    row, and the tail rows, are projected again row by row. Each row's sum
+    is the same contiguous einsum kernel either way.
     """
 
     BLOCK = 8
 
     def __init__(self, points: np.ndarray, sizes: np.ndarray):
-        n, d = points.shape
-        b = self.BLOCK if d >= self.BLOCK else 1
+        (n, d), b = points.shape, self.BLOCK
         k = n // b
         self.points, self.sizes, self.starts = points, sizes, np.cumsum(sizes) - sizes
         self.seg = seg = np.repeat(np.arange(sizes.size), sizes)

@@ -20,10 +20,9 @@ from .core import Dataset, check_k, check_queries, check_self_ids
 # build_tree stays importable from here: the benchmark's tracer wraps rpforest.forest.build_tree
 from .tree import RpTree, TreeConfig, build_tree, build_trees, route, routing_table, tree_views  # noqa: F401
 
-POOL_BYTES = 16 << 20  # working-set budget of the query chunks of all workers together
-# budget of the points one group of trees gathers per level: a group shares
-# each level's numpy calls among its trees; larger groups fall out of cache
-BUILD_BYTES = 4 << 20
+# working-set budget of all workers together: their query chunks, and the
+# points their tree groups gather per level
+POOL_BYTES = 16 << 20
 
 
 @dataclass(eq=False)
@@ -79,9 +78,11 @@ def build_forest(
     t appended: the stream a fresh seed's spawn gives tree t. The seed is
     never advanced, so one seed gives one forest however often it is passed,
     forest.master_seed rebuilds the forest, and tree t does not depend on how
-    many trees follow it. Trees are built level by level, in groups whose
-    gathered points fit BUILD_BYTES and at least one group per worker (run
-    on parallel_map's threads); a tree does not depend on its group.
+    many trees follow it. Trees are built level by level in groups that
+    share each level's numpy calls, run on parallel_map's threads: at least
+    one group per worker, and no more trees to a group than the worker's
+    share of POOL_BYTES holds gathered points for, but at least one. A tree
+    does not depend on its group.
 
     The groups' tables (see build_trees) are concatenated once. node_base,
     leaf_base and the membership indptr are the cumulative sums of the nodes
@@ -95,7 +96,7 @@ def build_forest(
         np.random.default_rng(np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, t), pool_size=ss.pool_size))
         for t in range(n_trees)
     ]
-    group = max(1, min(BUILD_BYTES // (8 * data.n * data.d), -(-n_trees // core.WORKERS)))
+    group = max(1, min(POOL_BYTES // core.WORKERS // (8 * data.n * data.d), -(-n_trees // core.WORKERS)))
     groups = core.parallel_map(lambda lo: build_trees(data, cfg, rngs[lo : lo + group]), range(0, n_trees, group))
     directions, splits, children, *counts, members, leaf_of = (np.concatenate(a) for a in zip(*groups))
     node_base, leaf_base, indptr = (np.concatenate([[0], np.cumsum(a)]) for a in counts)

@@ -226,7 +226,7 @@ def _assemble(data: Dataset, perm, nodes, leaves):
     # leaf members ascending: sort perm by (leaf, id)
     label = np.repeat(np.arange(leaf_start.size), leaf_size[leaf_order])
     members = np.sort(label * n + perm) - label * n
-    leaf_of = np.empty(perm.size, dtype=np.intp)
+    leaf_of = np.empty(perm.size, dtype=np.int32 if n < 2**31 else np.intp)  # a tree has at most n leaves
     leaf_of[np.arange(perm.size) // n * n + members] = leaf_local[leaf_order][label]
     rows = (direction[node_order], splits[node_order], children[node_order])
     return *rows, np.diff(node_base), np.diff(leaf_base), leaf_size[leaf_order], members, leaf_of.reshape(n_trees, n)
@@ -234,13 +234,15 @@ def _assemble(data: Dataset, perm, nodes, leaves):
 
 def routing_table(directions, splits, children, node_base, leaf_base) -> tuple:
     """route's table of a forest's node rows: their directions and splits, row
-    r's two child rows at 2r and 2r + 1, and each tree's root row. Leaf l of
-    tree t is row n_internal + leaf_base[t] + l, its own two children."""
+    r's two child rows at 2r and 2r + 1 (int32 where the table's size fits),
+    and each tree's root row. Leaf l of tree t is row n_internal +
+    leaf_base[t] + l, its own two children."""
     n_int = splits.size
     tree = np.repeat(np.arange(node_base.size - 1), np.diff(node_base))[:, None]
     child = np.where(children >= 0, node_base[tree] + children, n_int + leaf_base[tree] + ~children)
     root = np.where(np.diff(node_base) > 0, node_base[:-1], n_int + leaf_base[:-1])
-    return directions, splits, np.concatenate([child.ravel(), np.arange(n_int, n_int + leaf_base[-1]).repeat(2)]), root
+    rows = [child.ravel(), np.arange(n_int, n_int + leaf_base[-1]).repeat(2)]
+    return directions, splits, np.concatenate(rows, dtype=np.int32 if 2 * (n_int + leaf_base[-1]) < 2**31 else np.intp), root
 
 
 def route(directions, splits, child, root, points) -> np.ndarray:

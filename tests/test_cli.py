@@ -389,6 +389,11 @@ class TestFailFast:
         (None, ["--dataset", BLOBS, "--reps", "0"], 1, "repetitions must be >= 1"),
         ("1,2\n\n3,x\n", [], 1, "non-numeric cell at row 3, column 1"),  # blank lines skipped, still counted
         ("\n", [], 1, "d.csv: no data rows"),
+        # malformed flags and config files: one error line, not argparse's usage
+        (None, ["--dataset", BLOBS, "--trees", "x"], 1, "argument --trees: invalid int value: 'x'"),
+        (None, ["--dataset", BLOBS, "--bogus"], 1, "unrecognized arguments: --bogus"),
+        (None, ["--dataset", BLOBS, "--k"], 1, "argument --k: expected at least one argument"),
+        (None, ["--dataset", BLOBS, "--config", '{"reps": 1,}'], 1, "c.json: Expecting property name"),  # written as is
     ]
 
     @pytest.mark.parametrize("csv_text, flags, code", [row[:3] for row in ROWS])
@@ -405,12 +410,17 @@ class TestFailFast:
         if csv_text is not None:
             (tmp_path / "d.csv").write_text(csv_text)
             argv += ["--dataset", "d.csv"]
-        if "--config" in flags:
-            (tmp_path / "c.json").write_text(json.dumps(flags[-1]))
+        if "--config" in flags:  # a str is the file's text, anything else is dumped as JSON
+            (tmp_path / "c.json").write_text(flags[-1] if isinstance(flags[-1], str) else json.dumps(flags[-1]))
             flags = [*flags[:-1], "c.json"]
         assert main(argv + flags) == code
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and cause in err[0], err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0 and "usage: rpforest-bench" in capsys.readouterr().out
 
     def test_unset_csv_flags_in_config_pass(self, tmp_path, monkeypatch):
         # false and null read as the flag not given, also for a generator recipe

@@ -94,8 +94,8 @@ class TestBuildForest:
 
 class TestGoldenForest:
     """Pinned forests at d = 12, where the build projects whole blocks of rows
-    (core.Level); the golden CSV's d = 2 data never does. A change that alters
-    RNG use or summation order updates the digests and says so."""
+    (core.Level), as it does at every d. A change that alters RNG use or
+    summation order updates the digests and says so."""
 
     DIGESTS = {
         1: "bcece242f339b0ee9fd70ba89da640a74a09ed591ed51bca80225e90acd34742",
@@ -321,14 +321,16 @@ class TestWorkers:
     """Results do not depend on how many threads parallel_map runs on."""
 
     @staticmethod
-    def outputs(method, build_bytes):
+    def outputs(method, group_bytes):
         data = random_dataset(7, n=160, d=3)
         cfg = TreeConfig(leaf_capacity=8, strategy=StrategyConfig(method=method))
         queries = np.random.default_rng(8).normal(size=(40, 3))
-        # small budgets: several tree groups and pooling chunks
-        with mock.patch.object(rpforest.forest, "BUILD_BYTES", build_bytes), \
-                mock.patch.object(rpforest.forest, "POOL_BYTES", 1 << 14):
+        # build with group_bytes as each worker's share (None: the unpatched
+        # budget), then query under a small budget: several pooling chunks
+        build = rpforest.forest.POOL_BYTES if group_bytes is None else group_bytes * rpforest.core.WORKERS
+        with mock.patch.object(rpforest.forest, "POOL_BYTES", build):
             forest = build_forest(data, cfg, 7, master_seed=9)
+        with mock.patch.object(rpforest.forest, "POOL_BYTES", 1 << 14):
             rows = query_all_training(forest, 5) + query_batch(forest, queries, 5)
             rows += [query_knn(forest, q, 5, self_id=3) for q in queries[:3]]
         # at most 69, 34 or 23 rows a chunk for 1, 2 or 3 workers: 3, 5 or 7 chunks of near-equal size
@@ -340,17 +342,37 @@ class TestWorkers:
         return arrays + [a for row in rows for a in (row.ids, row.distances)]
 
     @pytest.mark.parametrize("method", [1, 2, 3, 4])
-    @pytest.mark.parametrize("build_bytes", [2 * 8 * 160 * 3, rpforest.forest.BUILD_BYTES])
-    def test_bit_identical_for_1_2_3_workers(self, method, build_bytes):
+    @pytest.mark.parametrize("group_bytes", [2 * 8 * 160 * 3, None])
+    def test_bit_identical_for_1_2_3_workers(self, method, group_bytes):
         outputs = []
         for workers in (1, 2, 3):
             with mock.patch.object(rpforest.core, "WORKERS", workers):
-                outputs.append(self.outputs(method, build_bytes))
+                outputs.append(self.outputs(method, group_bytes))
         for other in outputs[1:]:
             assert len(other) == len(outputs[0])
             for a, b in zip(outputs[0], other):
                 assert a.dtype == b.dtype
                 np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "n_trees, sizes",
+        [
+            # 6 trees' gathered points fit the budget: groups of 6, 3 or 2 trees
+            (10, {1: [6, 4], 2: [3, 3, 3, 1], 3: [2, 2, 2, 2, 2]}),
+            # fewer trees than that: at least one group per worker
+            (3, {1: [3], 2: [2, 1], 3: [1, 1, 1]}),
+        ],
+    )
+    def test_groups_share_pool_bytes(self, n_trees, sizes):
+        """Each worker's groups gather at most its share of POOL_BYTES."""
+        data = random_dataset(13, n=100, d=2)
+        for workers, expected in sizes.items():
+            with mock.patch.object(rpforest.core, "WORKERS", workers), \
+                    mock.patch.object(rpforest.forest, "POOL_BYTES", 6 * 8 * 100 * 2), \
+                    mock.patch.object(rpforest.forest, "build_trees", wraps=rpforest.forest.build_trees) as spy:
+                build_forest(data, TreeConfig(), n_trees, master_seed=14)
+            # threads may call in any order; the groups are cut from tree 0 on
+            assert sorted((len(call.args[2]) for call in spy.call_args_list), reverse=True) == expected
 
     def test_single_queries_start_no_threads(self):
         forest = build_forest(random_dataset(10), TreeConfig(), 5, master_seed=11)

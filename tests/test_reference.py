@@ -162,7 +162,7 @@ def test_build_groups_equal_single_trees(case, group):
     forest = case[0]
     data, cfg = forest.data, forest.tree_config
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(forest.master_seed).spawn(len(forest.trees))]
-    with mock.patch.object(rpforest.forest, "BUILD_BYTES", group * 8 * data.n * data.d):
+    with mock.patch.object(rpforest.forest, "POOL_BYTES", group * 8 * data.n * data.d * rpforest.core.WORKERS):
         grouped = build_forest(data, cfg, len(forest.trees), forest.master_seed)
 
     names = ("directions", "splits", "children", "leaf_offsets", "leaf_members", "leaf_of")
