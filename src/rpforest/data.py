@@ -1,6 +1,7 @@
 """Dataset ingestion (CSV) and synthetic generators for desk-scale runs."""
 
 import csv
+import warnings
 
 import numpy as np
 
@@ -19,42 +20,31 @@ def load_csv(
 ) -> Dataset:
     """Load a numeric CSV into a Dataset.
 
-    The label column (if given) is dropped. With standardize=True each
-    feature is z-scored (mean 0, sample std 1; constant columns are left
-    centered only).
+    numpy's C reader parses the rows after the header record. The line reader
+    (_read_rows) has the last word on a file that it refuses, finds no rows in
+    or reads a non-finite value from; both give the same bits where both accept.
+    The label column (if given) is dropped. With standardize=True each feature
+    is z-scored (mean 0, sample std 1; constant columns are left centered only).
     """
-    rows: list[list[float]] = []
-    linenos: list[int] = []  # CSV line of each data row
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, raw in enumerate(reader, start=1):
-            if lineno == 1 and has_header:
-                continue
-            if not raw:
-                continue
-            parsed = []
-            for col, cell in enumerate(raw):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: non-numeric cell at row {lineno}, column {col}: {cell!r}"
-                    ) from None
-            if rows and len(parsed) != len(rows[0]):
-                raise CsvFormatError(
-                    f"{path}: row {lineno} has {len(parsed)} columns, expected {len(rows[0])}"
-                )
-            rows.append(parsed)
-            linenos.append(lineno)
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-    matrix = np.asarray(rows, dtype=np.float64)
+        try:  # a UnicodeDecodeError, too, is left for the line reader to name
+            if has_header:
+                next(csv.reader(fh), None)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns on a file with no rows
+                # numpy strips \x1c-\x1f as whitespace, float() refuses them: so both refuse their line
+                lines = ("#" if "\x1c" in s or "\x1d" in s or "\x1e" in s or "\x1f" in s else s for s in fh)
+                matrix = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
+            linenos = None  # never read: every value is finite
+        except (ValueError, csv.Error):
+            matrix = np.empty(0)
+        if not (matrix.size and np.isfinite(matrix).all()):
+            fh.seek(0)
+            matrix, linenos = _read_rows(fh, path, has_header)
     columns = np.arange(matrix.shape[1])  # CSV column of each feature
     if label_column is not None:
         if not -matrix.shape[1] <= label_column < matrix.shape[1]:
-            raise CsvFormatError(
-                f"{path}: label column {label_column} out of range for {matrix.shape[1]} columns"
-            )
+            raise CsvFormatError(f"{path}: label column {label_column} out of range for {matrix.shape[1]} columns")
         matrix, columns = np.delete(matrix, label_column, axis=1), np.delete(columns, label_column)
     bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:
@@ -71,6 +61,35 @@ def load_csv(
         std[std == 0.0] = 1.0
         matrix = matrix / std
     return Dataset(matrix)
+
+
+def _read_rows(fh, path, has_header: bool):
+    """fh's rows as a float64 matrix and the CSV line of each row: csv records
+    of float() cells, the header record and blank lines skipped."""
+    rows: list[list[float]] = []
+    linenos: list[int] = []  # CSV line of each data row
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(csv.reader(fh), start=1):
+            if not raw or (lineno == 1 and has_header):
+                continue
+            parsed = []
+            for col, cell in enumerate(raw):
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    raise CsvFormatError(f"{path}: non-numeric cell at row {lineno}, column {col}: {cell!r}") from None
+            if rows and len(parsed) != len(rows[0]):
+                raise CsvFormatError(f"{path}: row {lineno} has {len(parsed)} columns, expected {len(rows[0])}")
+            rows.append(parsed)
+            linenos.append(lineno)
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}: row {lineno + 1}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    if not rows:
+        raise CsvFormatError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=np.float64), linenos
 
 
 def gen_gaussian_blobs(n: int, d: int, centers, sigma: float, seed: int) -> Dataset:

@@ -84,16 +84,17 @@ def split_segments(values: np.ndarray, level: Level, u: np.ndarray):
     sizes, seg, first = level.sizes, level.seg, level.starts
     if sizes.min(initial=2) < 2:
         raise ValueError(f"need at least 2 values per segment, got {sizes.min()}")
+    # an unstable sort, then a radix sort by segment, is about twice as fast as
+    # lexsort and gives its order wherever a segment's values are distinct
     order = np.argsort(values)
+    order = order[np.argsort(seg[order].astype(np.min_scalar_type(sizes.size)), kind="stable")]
     ordered = values[order]
-    if np.any(ordered[1:] == ordered[:-1]):
-        # ties: a stable sort keeps them in their segment's own order
-        order = np.lexsort((values, seg))
-    else:
-        # no ties: the order is unique, and an unstable sort followed by a
-        # radix sort by segment is about twice as fast as lexsort
-        order = order[np.argsort(seg[order].astype(np.min_scalar_type(sizes.size)), kind="stable")]
-    ordered = values[order]
+    tie = np.flatnonzero(ordered[1:] == ordered[:-1])
+    tie = tie[seg[tie] == seg[tie + 1]]
+    if tie.size:  # lexsort the segments holding a tie, in place: ties keep their order
+        tied = np.flatnonzero(np.isin(seg, seg[tie]))
+        # only equal values (0.0 and -0.0 among them) trade places: c and n_left keep their bits
+        order[tied] = tied[np.lexsort((values[tied], seg[tied]))]
     pos = u * (sizes - 1)
     lo = np.minimum(pos.astype(np.intp), sizes - 2)
     a, b = ordered[first + lo], ordered[first + lo + 1]

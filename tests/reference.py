@@ -8,10 +8,17 @@ at a time: the deduplicated union of its leaves, minus its own id, ordered by
 a stable argsort on distance, so ties go to the smaller id. The same
 ranker, over every id except the query's own, is the exact oracle's
 reference (tests/test_oracle.py).
+
+load_csv is the CSV line reader as it stood before numpy's C reader took
+the first pass (tests/test_data.py).
 """
+
+import csv
 
 import numpy as np
 
+from rpforest.core import Dataset
+from rpforest.data import CsvFormatError
 from rpforest.forest import NeighborList
 
 
@@ -89,3 +96,65 @@ def distance_error(truth, found, k: int):
     if not errors:
         return float("nan"), excluded
     return float(np.mean(errors)), excluded
+
+
+def load_csv(
+    path,
+    has_header: bool = False,
+    label_column: int | None = None,
+    standardize: bool = False,
+) -> Dataset:
+    """Load a numeric CSV into a Dataset.
+
+    The label column (if given) is dropped. With standardize=True each
+    feature is z-scored (mean 0, sample std 1; constant columns are left
+    centered only).
+    """
+    rows: list[list[float]] = []
+    linenos: list[int] = []  # CSV line of each data row
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for lineno, raw in enumerate(reader, start=1):
+            if lineno == 1 and has_header:
+                continue
+            if not raw:
+                continue
+            parsed = []
+            for col, cell in enumerate(raw):
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{path}: non-numeric cell at row {lineno}, column {col}: {cell!r}"
+                    ) from None
+            if rows and len(parsed) != len(rows[0]):
+                raise CsvFormatError(
+                    f"{path}: row {lineno} has {len(parsed)} columns, expected {len(rows[0])}"
+                )
+            rows.append(parsed)
+            linenos.append(lineno)
+    if not rows:
+        raise CsvFormatError(f"{path}: no data rows")
+    matrix = np.asarray(rows, dtype=np.float64)
+    columns = np.arange(matrix.shape[1])  # CSV column of each feature
+    if label_column is not None:
+        if not -matrix.shape[1] <= label_column < matrix.shape[1]:
+            raise CsvFormatError(
+                f"{path}: label column {label_column} out of range for {matrix.shape[1]} columns"
+            )
+        matrix, columns = np.delete(matrix, label_column, axis=1), np.delete(columns, label_column)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        row, feature = bad[0]
+        raise CsvFormatError(f"{path}: non-finite value at row {linenos[row]}, column {columns[feature]}: {matrix[row, feature]}")
+    if standardize:
+        if matrix.shape[0] < 2:
+            raise CsvFormatError(f"{path}: standardizing needs at least 2 data rows, got {matrix.shape[0]}")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            matrix = matrix - matrix.mean(axis=0)
+            std = matrix.std(axis=0, ddof=1)
+        if not np.isfinite(std).all():
+            raise CsvFormatError(f"{path}: standardizing column {columns[~np.isfinite(std)][0]} overflows; rescale it")
+        std[std == 0.0] = 1.0
+        matrix = matrix / std
+    return Dataset(matrix)

@@ -394,9 +394,16 @@ class TestFailFast:
         (None, ["--dataset", BLOBS, "--bogus"], 1, "unrecognized arguments: --bogus"),
         (None, ["--dataset", BLOBS, "--k"], 1, "argument --k: expected at least one argument"),
         (None, ["--dataset", BLOBS, "--config", '{"reps": 1,}'], 1, "c.json: Expecting property name"),  # written as is
+        # files the csv module or the UTF-8 decoder refuses, and an empty file, on which numpy's reader warns
+        ("1" * 200_000 + ",2\n3,4\n", [], 1, "d.csv: row 1: field larger than field limit (131072)"),
+        (b"1,2\n\xff,4\n", [], 1, "d.csv: not UTF-8 text: invalid start byte"),
+        ("", [], 1, "d.csv: no data rows"),
     ]
 
-    @pytest.mark.parametrize("csv_text, flags, code", [row[:3] for row in ROWS])
+    @pytest.mark.filterwarnings("error")  # a warning is a second line on stderr
+    @pytest.mark.parametrize(
+        "csv_text, flags, code", [row[:3] for row in ROWS], ids=lambda v: f"{len(v)}-chars" if isinstance(v, str) and len(v) > 1000 else None
+    )
     def test_bad_input_gives_one_error_line(self, tmp_path, monkeypatch, capsys, csv_text, flags, code):
         cause = next(row[3] for row in self.ROWS if row[:3] == (csv_text, flags, code))
 
@@ -408,7 +415,8 @@ class TestFailFast:
         monkeypatch.chdir(tmp_path)
         argv = ["--trees", "1", "--reps", "1", "--k", "3", "--out", "r.csv"]
         if csv_text is not None:
-            (tmp_path / "d.csv").write_text(csv_text)
+            path = tmp_path / "d.csv"
+            path.write_bytes(csv_text) if isinstance(csv_text, bytes) else path.write_text(csv_text)
             argv += ["--dataset", "d.csv"]
         if "--config" in flags:  # a str is the file's text, anything else is dumped as JSON
             (tmp_path / "c.json").write_text(flags[-1] if isinstance(flags[-1], str) else json.dumps(flags[-1]))

@@ -1,7 +1,79 @@
+import csv
+
 import numpy as np
 import pytest
+import reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rpforest.data
 from rpforest.data import CsvFormatError, gen_concentric_rings, gen_gaussian_blobs, load_csv
+
+# cells only float() reads (digit-group underscores, Arabic-Indic digits),
+# cells padded with whitespace that numpy strips and float() may not (a
+# no-break space, a tab, \x1c, \x1f) or with a BOM, non-finite values, and
+# cells that neither reads
+ODD_CELLS = ["1_000", "\u0661\u0662", "\u0663.\u0665", "\xa04", "\x1c5", "6\x1f", "\ufeff7", "\t8 ", " 9",
+             "nan", "-inf", "inf", "1e400", "-1e400", "1e-400", "-0.0", "+.5", "1.", ".", "e5", "1e", "-", "",
+             "x", "#1", "0x10", "1 2"]
+PLAIN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**25), 10**25).map(str),
+    st.builds("{}{}.{}e{}".format, st.sampled_from(["", "-", "+"]), st.integers(0, 10**25), st.integers(0, 10**25), st.integers(-400, 400)),
+)
+# a cell as is or quoted, also with a line end inside the quotes; odd texts
+# also draw a doubled quote and a space outside the quotes
+QUOTES = ["{}", "{}", "{}", '"{}"', '"{}\n"', '"\r\n{}"']
+ODD_QUOTES = QUOTES + ['"{}"""', ' "{}"', '"{}" ']
+HEADERS = ["a,b", '"a","b"', '"a\nb",c', '"', '"', "1,2", "", "#"]
+
+
+@st.composite
+def csv_texts(draw):
+    """A small CSV text and whether it has a header: rows of one width, blank
+    lines, one line end (LF, CRLF or lone CR), with or without a final one.
+    Half the texts also hold odd cells, ragged rows, trailing commas,
+    whitespace-only and # lines or a BOM. A header may hold a quote that
+    runs on over the next lines, as the line reader reads it."""
+    odd = draw(st.booleans())
+    cells = st.one_of(PLAIN_CELLS, st.sampled_from(ODD_CELLS)) if odd else PLAIN_CELLS
+    quotes = st.sampled_from(ODD_QUOTES if odd else QUOTES)
+    kinds = ["row"] * 6 + ["blank"] + (["ragged", "trailing comma", "whitespace", "comment"] if odd else [])
+    width, lines = draw(st.integers(1, 3)), []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "whitespace":
+            lines.append(draw(st.sampled_from([" ", "  ", "\t"])))
+        elif kind == "comment":
+            lines.append("# " + draw(cells))
+        else:
+            n = draw(st.integers(1, 4)) if kind == "ragged" else width
+            row = [draw(quotes).format(draw(cells)) for _ in range(n)]
+            lines.append(",".join(row) + ("," if kind == "trailing comma" else ""))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + (end if lines and draw(st.booleans()) else "")
+    if has_header := draw(st.booleans()):
+        text = draw(st.sampled_from(HEADERS)) + end + text
+    return ("\ufeff" if odd and draw(st.booleans()) else "") + text, has_header
+
+
+def assert_reads_as_the_line_reader(path, **options):
+    """load_csv returns the line reader's points bit for bit, or raises its
+    error with its message."""
+
+    def outcome(reader):
+        try:
+            return reader(path, **options).points
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    got, want = outcome(load_csv), outcome(reference.load_csv)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestLoadCsv:
@@ -53,6 +125,36 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "nope.csv")
+
+    @settings(max_examples=400, deadline=None)
+    @given(drawn=csv_texts(), label_column=st.one_of(st.none(), st.integers(-4, 3)), standardize=st.booleans())
+    def test_same_points_or_error_as_the_line_reader(self, tmp_path_factory, drawn, label_column, standardize):
+        (text, has_header), path = drawn, tmp_path_factory.getbasetemp() / "drawn.csv"  # rewritten by every example
+        path.write_text(text, encoding="utf-8", newline="")
+        assert_reads_as_the_line_reader(path, has_header=has_header, label_column=label_column, standardize=standardize)
+
+    def test_plain_file_skips_the_line_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "plain.csv"
+        path.write_text('x,y\n1.5,-2e3\n"3",4\r\n\n5,6')
+        monkeypatch.setattr(rpforest.data, "_read_rows", None)  # a call would raise TypeError
+        np.testing.assert_array_equal(load_csv(path, has_header=True).points, [[1.5, -2e3], [3, 4], [5, 6]])
+
+    def test_c_reader_reads_a_cell_of_any_length(self, tmp_path):
+        # the line reader's csv module refuses a cell over 131,072 characters
+        path = tmp_path / "long.csv"
+        path.write_text("0" * 200_000 + "1,2\n3,4\n")
+        np.testing.assert_array_equal(load_csv(path).points, [[1, 2], [3, 4]])
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            reference.load_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, has_header",
+        [("", False), ("a,b\n", True), ('"\n1,2\n', True), ("1,2\n1,2,3\n", False), ("1,nan\n", False), ("1_0,2\n", False), ("\x1c1,2\n", False)],
+    )
+    def test_line_reader_reads_what_the_c_reader_cannot(self, tmp_path, text, has_header):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        assert_reads_as_the_line_reader(path, has_header=has_header)
 
 
 class TestGaussianBlobs:

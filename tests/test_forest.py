@@ -94,22 +94,36 @@ class TestBuildForest:
 
 class TestGoldenForest:
     """Pinned forests at d = 12, where the build projects whole blocks of rows
-    (core.Level), as it does at every d. A change that alters RNG use or
-    summation order updates the digests and says so."""
+    (core.Level), as it does at every d, and on an integer grid, where many of
+    a level's nodes hold tied values and so take the split's stable sort.
+    Method 4's eight trees share their nodes' principal components, so their
+    levels tie across nodes but not within one. A change that alters RNG use
+    or summation order updates the digests and says so."""
 
     DIGESTS = {
-        1: "bcece242f339b0ee9fd70ba89da640a74a09ed591ed51bca80225e90acd34742",
-        2: "29d1d3cdbedb41b7e7a3f8d3a351612544accc53203f8f4d11826921c4130f75",
-        3: "3ad6ab4c5ff25bc953adb811f436b1ffb6f41c97b0e5a0bc76d5b00ec5d4bab9",
+        ("blobs", 1): "bcece242f339b0ee9fd70ba89da640a74a09ed591ed51bca80225e90acd34742",
+        ("blobs", 2): "29d1d3cdbedb41b7e7a3f8d3a351612544accc53203f8f4d11826921c4130f75",
+        ("blobs", 3): "3ad6ab4c5ff25bc953adb811f436b1ffb6f41c97b0e5a0bc76d5b00ec5d4bab9",
+        ("blobs", 4): "7d789d46975bdf796a5af886e6225954fe56b40bd3a87f513f68ff43c1bd1e68",  # LAPACK's eigh arithmetic
+        ("grid", 1): "07736a193c66c1601d421a5d96a13caebf47cbd70da2561f531702341d1b9951",
+        ("grid", 2): "59f6deeea460ac2a386f38b18497ee2069450d0284adbe0f82901c10bef244e0",
+        ("grid", 3): "a38afc78650bfc16d2a7bc9870b4d516eb95865dde0219925bc9b4b4eb2e342d",
+        ("grid", 4): "3b51626b4585299cc329ddb514df0b19891efeae0edcc49f2f4f5b37e55ffd4e",
+    }
+    DATA = {
+        "blobs": lambda: gen_gaussian_blobs(300, 12, 4, 1.0, 7),
+        # 300 points on 20^3 integer sites: a few sites repeat, so some nodes tie
+        "grid": lambda: Dataset(np.random.default_rng(7).integers(0, 20, size=(300, 3)).astype(np.float64)),
     }
 
-    @pytest.mark.parametrize("method", [1, 2, 3])  # method 4's eigh is LAPACK's arithmetic
-    def test_forest_arrays_keep_their_bytes(self, method):
-        forest = build_forest(gen_gaussian_blobs(300, 12, 4, 1.0, 7), TreeConfig(strategy=StrategyConfig(method=method)), 8, 11)
+    # the blobs forests keep their older ids, [1] to [3]
+    @pytest.mark.parametrize("data, method", sorted(DIGESTS), ids=[f"{m}" if s == "blobs" else f"{s}-{m}" for s, m in sorted(DIGESTS)])
+    def test_forest_arrays_keep_their_bytes(self, data, method):
+        forest = build_forest(self.DATA[data](), TreeConfig(strategy=StrategyConfig(method=method)), 8, 11)
         csr, h = forest.membership, hashlib.sha256()
         for a in (forest.directions, forest.splits, forest.children, forest.node_base, forest.leaf_base, csr.indptr, csr.indices, forest.leaf_of):
             h.update(np.ascontiguousarray(a, dtype=np.float64 if a.dtype.kind == "f" else np.int64).tobytes())
-        assert h.hexdigest() == self.DIGESTS[method]
+        assert h.hexdigest() == self.DIGESTS[data, method]
 
 
 class TestQueryKnn:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from rpforest.core import Dataset, Level
@@ -29,6 +31,23 @@ def split(values, sizes, u):
     """split_segments on a level of one-column points holding the values."""
     values = np.asarray(values, dtype=np.float64)
     return split_segments(values, Level(values[:, None], np.array(sizes)), np.array(u))
+
+
+@st.composite
+def levels(draw):
+    """(values, sizes) of a level: segments of 2 to 60 values each, drawn
+    distinct, from a few values (ties inside a segment, -0.0 beside 0.0), or
+    as copies of one segment, as at a method-4 forest's root, whose trees
+    share their principal component (ties across segments only)."""
+    distinct = st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=2, max_size=60, unique=True)
+    tied = st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.5]), min_size=2, max_size=60)
+    kind = draw(st.sampled_from(["distinct", "tied", "mixed", "copies"]))
+    if kind == "copies":
+        segments = [draw(distinct)] * draw(st.integers(1, 8))
+    else:
+        one = {"distinct": distinct, "tied": tied, "mixed": st.one_of(distinct, tied)}[kind]
+        segments = draw(st.lists(one, min_size=1, max_size=8))
+    return np.concatenate(segments), [len(s) for s in segments]
 
 
 def split_point(values, u):
@@ -70,6 +89,23 @@ class TestPickSplitPoint:
         order, c, n_left = split(values, [4, 3], [0.5, 0.5])
         assert values[order].tolist() == [0.0, 1.0, 2.0, 3.0, 5.0, 7.0, 9.0]
         assert c.tolist() == [1.5, 7.0] and n_left.tolist() == [2, 1]
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(level=levels(), u=st.floats(0.25, 0.75))
+    def test_order_is_a_stable_sort_of_each_segment(self, level, u):
+        values, sizes = level
+        order, c, n_left = split(values, sizes, [u] * len(sizes))
+        starts = np.cumsum(sizes) - sizes
+        stable = np.concatenate([s + np.argsort(values[s : s + m], kind="stable") for s, m in zip(starts, sizes)])
+        np.testing.assert_array_equal(order, stable)
+        # the split value and the left size of each segment, from the stable order
+        ordered, pos = values[stable], u * (np.array(sizes) - 1)
+        lo = np.minimum(pos.astype(np.intp), np.array(sizes) - 2)
+        a, b = ordered[starts + lo], ordered[starts + lo + 1]
+        want = a + (pos - lo) * (b - a)
+        assert c.tobytes() == want.tobytes()
+        assert n_left.tolist() == [int(np.sum(ordered[s : s + m] < w)) for s, m, w in zip(starts, sizes, want)]
 
 
 class TestBuildTree:
