@@ -184,11 +184,8 @@ def write_results_csv(rows: list[dict], path) -> None:
         raise ValueError("no result rows to write")
     lines = [",".join(RESULT_COLUMNS)]
     for row in rows:
-        cells = []
-        for col in RESULT_COLUMNS:
-            value = row[col]
-            cells.append(format_float(value) if isinstance(value, float) else str(value))
-        lines.append(",".join(cells))
+        values = (row[col] for col in RESULT_COLUMNS)
+        lines.append(",".join(format_float(v) if isinstance(v, float) else str(v) for v in values))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -32,14 +32,8 @@ class Dataset:
 
     from_points = classmethod(lambda cls, points: cls(points))  # the constructor by its older name
     ids = property(lambda self: np.arange(self.n))
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
+    n = property(lambda self: self.points.shape[0])
+    d = property(lambda self: self.points.shape[1])
 
 
 def check_queries(queries, d: int) -> np.ndarray:
@@ -62,6 +56,14 @@ def check_self_ids(self_ids, m: int, n: int) -> np.ndarray | None:
     if m and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= n):
         raise ValueError(f"self ids must be integers in [0, {n}), got {ids.dtype} in [{ids.min()}, {ids.max()}]")
     return ids
+
+
+def check_int(value, name: str) -> int:
+    """value as an int (operator.index), else ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_k(k, limit: int | None = None) -> int:

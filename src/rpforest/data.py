@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, check_int
 
 
 class CsvFormatError(ValueError):
@@ -22,7 +22,7 @@ def load_csv(
 
     numpy's C reader parses the rows after the header record. The line reader
     (_read_rows) has the last word on a file that it refuses, finds no rows in
-    or reads a non-finite value from; both give the same bits where both accept.
+    or reads a non-finite feature from; both give the same bits where both accept.
     The label column (if given) is dropped. With standardize=True each feature
     is z-scored (mean 0, sample std 1; constant columns are left centered only).
     """
@@ -35,10 +35,13 @@ def load_csv(
                 # numpy strips \x1c-\x1f as whitespace, float() refuses them: so both refuse their line
                 lines = ("#" if "\x1c" in s or "\x1d" in s or "\x1e" in s or "\x1f" in s else s for s in fh)
                 matrix = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
-            linenos = None  # never read: every value is finite
+            linenos = None  # never read: every feature is finite
         except (ValueError, csv.Error):
-            matrix = np.empty(0)
-        if not (matrix.size and np.isfinite(matrix).all()):
+            matrix = np.empty((0, 0))
+        finite = np.isfinite(matrix).all(axis=0)
+        if label_column is not None and -finite.size <= label_column < finite.size:
+            finite[label_column] = True  # the label is dropped below, whatever its value
+        if not (matrix.size and finite.all()):
             fh.seek(0)
             matrix, linenos = _read_rows(fh, path, has_header)
     columns = np.arange(matrix.shape[1])  # CSV column of each feature
@@ -98,7 +101,7 @@ def gen_gaussian_blobs(n: int, d: int, centers, sigma: float, seed: int) -> Data
     centers may be an explicit (c, d) array or an integer count, in which
     case center locations are drawn uniformly in [-10, 10]^d from the seed.
     """
-    if n < 2:
+    if check_int(n, "n") < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")

@@ -16,7 +16,7 @@ import scipy.sparse
 from scipy.sparse import _sparsetools
 
 from . import core
-from .core import Dataset, check_k, check_queries, check_self_ids
+from .core import Dataset, check_int, check_k, check_queries, check_self_ids
 # build_tree stays importable from here: the benchmark's tracer wraps rpforest.forest.build_tree
 from .tree import RpTree, TreeConfig, build_tree, build_trees, route, routing_table, tree_views  # noqa: F401
 
@@ -89,7 +89,7 @@ def build_forest(
     per tree, the leaves per tree and the leaf sizes; the members grouped by
     leaf are the membership indices, tree t's n ids at [t * n:(t + 1) * n].
     """
-    if n_trees < 1:
+    if check_int(n_trees, "n_trees") < 1:
         raise ValueError(f"need at least 1 tree, got {n_trees}")
     ss = master_seed if isinstance(master_seed, np.random.SeedSequence) else np.random.SeedSequence(master_seed)
     rngs = [

@@ -35,6 +35,9 @@ def two_sample_ttest(a, b) -> TTestResult:
     b = np.asarray(b, dtype=np.float64)
     if a.size < 2 or b.size < 2:
         raise ValueError(f"each sample needs >= 2 values, got {a.size} and {b.size}")
+    for name, x in (("a", a), ("b", b)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"sample {name} holds a non-finite value: {x[~np.isfinite(x)][0]}")
     mean_a, mean_b = a.mean(), b.mean()
     if abs(mean_a - mean_b) <= IDENTICAL_MEANS_TOL:
         return TTestResult(statistic=None, p_value=None, identical_means=True)

@@ -15,7 +15,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .core import Level, dispersion, random_unit_direction
+from .core import Level, check_int, dispersion, random_unit_direction
 
 
 class Method(IntEnum):
@@ -33,7 +33,7 @@ class StrategyConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method(self.method))
-        if self.n_try < 1:
+        if check_int(self.n_try, "n_try") < 1:
             raise ValueError(f"n_try must be >= 1, got {self.n_try}")
         sigmas = tuple(self.noise_sigmas)
         if not all(0 < s < np.inf for s in sigmas):
@@ -78,15 +78,12 @@ def choose_directions(level: Level, cfg: StrategyConfig, rngs, counts):
     if cfg.method == Method.PRINCIPAL_COMPONENT:
         return principal_components(level), np.empty((m, 0))
 
-    def score(r):
-        return dispersion(level.project(r), level.seg, level.sizes)
-
     # greedy over candidates in draw order: a candidate replaces the incumbent
     # only when it strictly improves dispersion, so ties go to the earliest
     best, best_disp = np.empty((m, d)), np.full(m, -1.0)
 
     def consider(cand, valid=True):
-        disp = score(cand)
+        disp = dispersion(level.project(cand), level.seg, level.sizes)
         better = valid & (disp > best_disp)
         best[better], best_disp[better] = cand[better], disp[better]
 

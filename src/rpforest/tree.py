@@ -142,21 +142,18 @@ def build_trees(data: Dataset, cfg: TreeConfig, rngs):
     and the members grouped by leaf (leaves left to right, members
     ascending), and the (trees, n) table of each point's local leaf index.
     """
-    n, d, cap, n_trees = data.n, data.d, cfg.leaf_capacity, len(rngs)
+    n, cap, n_trees = data.n, cfg.leaf_capacity, len(rngs)
     perm = np.tile(data.ids, n_trees)
     # segments to split at the current level, by start position in perm
     start, size = np.arange(n_trees) * n, np.full(n_trees, n)
     parent, side = np.full(n_trees, -1), np.zeros(n_trees, dtype=np.intp)
     nodes, leaves = [], []  # per level: (direction, split, start, parent, side)
-    # the level's gathered points, allocated once: a fresh multi-megabyte
-    # temporary per level costs more in page faults than the gather itself
-    work = np.empty((perm.size, d))
     n_nodes = 0
     while start.size:
         small = size < cap
         leaves.append((start[small], size[small], parent[small], side[small]))
         start, size, parent, side = start[~small], size[~small], parent[~small], side[~small]
-        direction, c, n_left = _split_level(data.points, perm, start, size, cfg, rngs, work)
+        direction, c, n_left = _split_level(data.points, perm, start, size, cfg, rngs)
         ok = n_left > 0
         leaves.append((start[~ok], size[~ok], parent[~ok], side[~ok]))
         row = n_nodes + np.arange(np.count_nonzero(ok))
@@ -169,7 +166,7 @@ def build_trees(data: Dataset, cfg: TreeConfig, rngs):
     return _assemble(data, perm, nodes, leaves)
 
 
-def _split_level(points, perm, start, size, cfg: TreeConfig, rngs, work):
+def _split_level(points, perm, start, size, cfg: TreeConfig, rngs):
     """Split every segment of one level: its direction, split value and left
     size (0 where no split was found). perm is reordered in place so every
     segment is sorted by its projection, the left child first."""
@@ -183,7 +180,7 @@ def _split_level(points, perm, start, size, cfg: TreeConfig, rngs, work):
         # each node's rows of perm, node after node: the level's gather offsets
         pos = np.repeat(start[todo] - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
         ids = perm[pos]
-        level = Level(np.take(points, ids, axis=0, out=work[: ids.size], mode="clip"), sizes)
+        level = Level(points.take(ids, axis=0), sizes)
         pts, seg, first = level.points, level.seg, level.starts
         counts = np.bincount(start[todo] // points.shape[0], minlength=len(rngs))
         r, _ = choose_directions(level, cfg.strategy, rngs, counts)

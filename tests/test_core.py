@@ -11,6 +11,10 @@ from rpforest.core import (
     dispersion,
     random_unit_direction,
 )
+from rpforest.data import gen_gaussian_blobs
+from rpforest.forest import build_forest
+from rpforest.strategies import StrategyConfig
+from rpforest.tree import TreeConfig
 
 
 @pytest.mark.parametrize("make", [Dataset, Dataset.from_points], ids=["Dataset", "from_points"])
@@ -120,7 +124,7 @@ class TestLevel:
         rng = np.random.default_rng(seed)
         sizes = np.array(sizes)
         n = sizes.sum()
-        # a view into a larger buffer, as the build's gathered points are
+        # a view into a larger buffer: Level takes any C-contiguous rows, not only a fresh gather
         points = np.empty((n + 3, d))[:n]
         points[:] = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
         r = rng.normal(size=(sizes.size, d))
@@ -156,3 +160,21 @@ class TestRandomUnitDirection:
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             random_unit_direction(0, np.random.default_rng(9))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_forest(Dataset(np.eye(3)), TreeConfig(), 2.5, 0), "n_trees must be an integer, got 2.5"),
+        (lambda: build_forest(Dataset(np.eye(3)), TreeConfig(), 0, 0), "need at least 1 tree, got 0"),
+        (lambda: StrategyConfig(method=2, n_try=2.5), "n_try must be an integer, got 2.5"),
+        (lambda: StrategyConfig(method=2, n_try=0), "n_try must be >= 1, got 0"),
+        (lambda: gen_gaussian_blobs(10.5, 2, 2, 1.0, 0), "n must be an integer, got 10.5"),
+        (lambda: gen_gaussian_blobs(1, 2, 2, 1.0, 0), "need n >= 2, got 1"),
+    ],
+    ids=["n_trees", "n_trees<1", "n_try", "n_try<1", "n", "n<2"],
+)
+def test_counts_are_integers_at_the_minimum_or_above(call, message):
+    # a non-integer count is a ValueError that names the argument, before any work
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

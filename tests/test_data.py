@@ -139,6 +139,21 @@ class TestLoadCsv:
         monkeypatch.setattr(rpforest.data, "_read_rows", None)  # a call would raise TypeError
         np.testing.assert_array_equal(load_csv(path, has_header=True).points, [[1.5, -2e3], [3, 4], [5, 6]])
 
+    def test_non_finite_labels_skip_the_line_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "nan_labels.csv"
+        rows = np.random.default_rng(3).normal(size=(50, 3)).tolist()
+        path.write_text("".join(f"{a!r},{b!r},{['nan', 'inf', '-inf'][i % 3]},{c!r}\n" for i, (a, b, c) in enumerate(rows)))
+        with open(path, newline="", encoding="utf-8") as fh:
+            expected = np.delete(rpforest.data._read_rows(fh, path, False)[0], 2, axis=1)
+        # the other columns are no label: out of range, or a non-finite feature at its CSV line
+        with pytest.raises(CsvFormatError, match="label column 4 out of range for 4 columns"):
+            load_csv(path, label_column=4)
+        with pytest.raises(CsvFormatError, match="non-finite value at row 1, column 2: nan"):
+            load_csv(path, label_column=3)
+        monkeypatch.setattr(rpforest.data, "_read_rows", None)  # a call would raise TypeError
+        for label_column in (2, -2):
+            assert load_csv(path, label_column=label_column).points.tobytes() == expected.tobytes()
+
     def test_c_reader_reads_a_cell_of_any_length(self, tmp_path):
         # the line reader's csv module refuses a cell over 131,072 characters
         path = tmp_path / "long.csv"

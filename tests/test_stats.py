@@ -38,6 +38,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             two_sample_ttest([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ([1.0, np.nan], [2.0, 3.0], "sample a holds a non-finite value: nan"),
+            ([1.0, 2.0], [np.inf, 3.0], "sample b holds a non-finite value: inf"),
+            ([-np.inf, 1.0], [np.nan, 2.0], "sample a holds a non-finite value: -inf"),
+        ],
+    )
+    def test_non_finite_sample_rejected(self, a, b, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            two_sample_ttest(a, b)
+
     def test_zero_variance_different_means(self):
         # both samples constant: the limit of the test, not an error
         below = two_sample_ttest([1.0, 1.0], [2.0, 2.0, 2.0])
