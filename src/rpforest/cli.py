@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, check_int
 from .data import gen_concentric_rings, gen_gaussian_blobs, load_csv
 from .forest import NeighborList, build_forest, query_all_training
 from .metrics import distance_error, missing_rate
@@ -74,10 +74,11 @@ class ExperimentConfig:
         """
         if not self.methods or any(m not in (1, 2, 3, 4) for m in self.methods):
             raise ConfigError(f"methods must be a non-empty subset of 1..4, got {self.methods}")
-        if not self.forest_sizes or any(t < 1 for t in self.forest_sizes):
-            raise ConfigError(f"forest sizes must be positive, got {self.forest_sizes}")
-        if not self.k_values or any(k < 1 for k in self.k_values):
-            raise ConfigError(f"k values must be positive, got {self.k_values}")
+        for flag, values in (("--trees", self.forest_sizes), ("--k", self.k_values)):
+            if not values:
+                raise ConfigError(f"{flag} needs at least one value")
+            for value in values:
+                check_int(value, flag, 1)
         for flag, values in (("--methods", self.methods), ("--trees", self.forest_sizes), ("--k", self.k_values)):
             if len(set(values)) < len(values):
                 raise ConfigError(f"{flag} must not repeat a value, got {values}")
@@ -91,10 +92,9 @@ class ExperimentConfig:
                 f"max k ({max(self.k_values)}) must be below leaf capacity "
                 f"({self.leaf_capacity}); raise --leaf-capacity"
             )
-        if self.repetitions is not None and self.repetitions < 1:
-            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.master_seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {self.master_seed}")
+        if self.repetitions is not None:
+            check_int(self.repetitions, "--reps", 1)
+        check_int(self.master_seed, "--seed", 0)
         if n is not None and max(self.k_values) > n - 1:
             raise ConfigError(f"max k ({max(self.k_values)}) must be at most n - 1 ({n - 1})")
         return {

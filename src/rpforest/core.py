@@ -1,5 +1,6 @@
 """Numeric primitives shared by the tree, forest and evaluation code."""
 
+import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -58,23 +59,17 @@ def check_self_ids(self_ids, m: int, n: int) -> np.ndarray | None:
     return ids
 
 
-def check_int(value, name: str) -> int:
-    """value as an int (operator.index), else ValueError naming it."""
+def check_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """value as an int (operator.index) in [low, high], no bound where a limit
+    is None, else ValueError naming it."""
+    lo, hi = -math.inf if low is None else low, math.inf if high is None else high
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def check_k(k, limit: int | None = None) -> int:
-    """k as an int (operator.index) in [1, limit], no upper bound for limit
-    None, else ValueError."""
-    try:
-        index = operator.index(k)
-    except TypeError:
-        index = 0
-    if index < 1 or (limit is not None and index > limit):
-        raise ValueError(f"k must be an integer in [1, {'inf' if limit is None else limit}], got {k!r}")
+        index = None
+    if index is None or not lo <= index <= hi:
+        bounds = "" if low is None and high is None else f" in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer{bounds}, got {value!r}")
     return index
 
 
@@ -136,8 +131,7 @@ def random_unit_direction(d: int, rng: np.random.Generator, size: tuple[int, ...
     With size, an array of shape (*size, d) of independent directions from
     one bulk draw; a draw of norm <= 1e-12 is drawn again.
     """
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+    d = check_int(d, "d", 1)
     v = rng.standard_normal((*size, d))
     norm = np.linalg.norm(v, axis=-1)
     while (short := norm <= 1e-12).any():

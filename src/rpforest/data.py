@@ -26,6 +26,7 @@ def load_csv(
     The label column (if given) is dropped. With standardize=True each feature
     is z-scored (mean 0, sample std 1; constant columns are left centered only).
     """
+    label_column = None if label_column is None else check_int(label_column, "label_column")
     with open(path, newline="", encoding="utf-8") as fh:
         try:  # a UnicodeDecodeError, too, is left for the line reader to name
             if has_header:
@@ -101,16 +102,12 @@ def gen_gaussian_blobs(n: int, d: int, centers, sigma: float, seed: int) -> Data
     centers may be an explicit (c, d) array or an integer count, in which
     case center locations are drawn uniformly in [-10, 10]^d from the seed.
     """
-    if check_int(n, "n") < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n, d = check_int(n, "n", 2), check_int(d, "d", 1)
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     rng = np.random.default_rng(seed)
     if np.isscalar(centers):
-        n_centers = int(centers)
-        if n_centers < 1:
-            raise ValueError("need at least one center")
-        center_pts = rng.uniform(-10.0, 10.0, size=(n_centers, d))
+        center_pts = rng.uniform(-10.0, 10.0, size=(check_int(centers, "centers", 1), d))
     else:
         center_pts = np.atleast_2d(np.asarray(centers, dtype=np.float64))
         if center_pts.shape[1] != d:
@@ -122,6 +119,7 @@ def gen_gaussian_blobs(n: int, d: int, centers, sigma: float, seed: int) -> Data
 
 def gen_concentric_rings(n: int, radii, noise_sigma: float, seed: int) -> Dataset:
     """2-d points at evenly spaced angles on each ring plus radial noise."""
+    n = check_int(n, "n", 1)
     radii = np.asarray(radii, dtype=np.float64)
     if radii.size == 0 or not np.all((radii > 0) & (radii < np.inf)):
         raise ValueError(f"radii must be positive and finite, got {radii.tolist()!r}")

@@ -16,7 +16,7 @@ import scipy.sparse
 from scipy.sparse import _sparsetools
 
 from . import core
-from .core import Dataset, check_int, check_k, check_queries, check_self_ids
+from .core import Dataset, check_int, check_queries, check_self_ids
 # build_tree stays importable from here: the benchmark's tracer wraps rpforest.forest.build_tree
 from .tree import RpTree, TreeConfig, build_tree, build_trees, route, routing_table, tree_views  # noqa: F401
 
@@ -89,8 +89,7 @@ def build_forest(
     per tree, the leaves per tree and the leaf sizes; the members grouped by
     leaf are the membership indices, tree t's n ids at [t * n:(t + 1) * n].
     """
-    if check_int(n_trees, "n_trees") < 1:
-        raise ValueError(f"need at least 1 tree, got {n_trees}")
+    check_int(n_trees, "n_trees", 1)
     ss = master_seed if isinstance(master_seed, np.random.SeedSequence) else np.random.SeedSequence(master_seed)
     rngs = [
         np.random.default_rng(np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, t), pool_size=ss.pool_size))
@@ -197,7 +196,7 @@ def _kernel(forest: RpForest, queries, k: int, self_ids=None, leaves=None) -> li
     rank. A lone query is pooled and ranked directly; a batch goes through
     _search, each query's width being 8 bytes per candidate before merging
     (the pooling product's input), with ranking spans sized after merging."""
-    k = check_k(k)
+    k = check_int(k, "k", 1)
     queries = check_queries(queries, forest.data.d)
     m = queries.shape[0]
     self_ids = check_self_ids(self_ids, m, forest.data.n)

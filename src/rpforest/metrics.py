@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import check_k
+from .core import check_int
 from .forest import NeighborList
 
 
@@ -18,7 +18,7 @@ def _read(truth: Sequence[NeighborList], found: Sequence[NeighborList], k: int):
     """k and each table's rows, read once, as (row lengths, ids, distances).
     Checks k, equal and non-zero row counts, truth rows of k entries and
     non-negative ids, else ValueError."""
-    k = check_k(k)
+    k = check_int(k, "k", 1)
     if len(truth) != len(found) or len(truth) == 0:
         raise ValueError(f"empty tables or a row-count mismatch: truth has {len(truth)} rows, found has {len(found)}")
     tables = []

@@ -13,7 +13,7 @@ independent check is tests/reference.py.
 
 import numpy as np
 
-from .core import Dataset, check_k, check_queries, check_self_ids
+from .core import Dataset, check_int, check_queries, check_self_ids
 from .forest import NeighborList, _search
 
 _EPS, _TINY, _HUGE = np.finfo(np.float64).eps / 2, np.finfo(np.float64).tiny, np.finfo(np.float64).max / 8
@@ -53,7 +53,7 @@ def _rows(data: Dataset, queries, self_ids, k: int) -> list[NeighborList]:
     """
     queries = check_queries(queries, data.d)
     self_ids = check_self_ids(self_ids, queries.shape[0], data.n)
-    k = check_k(k, data.n - (self_ids is not None))
+    k = check_int(k, "k", 1, data.n - (self_ids is not None))
     centre = data.points.mean(axis=0)
     x, y = queries - centre, data.points - centre
     with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow take every column below

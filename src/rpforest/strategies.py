@@ -32,9 +32,8 @@ class StrategyConfig:
     noise_sigmas: tuple[float, ...] = (0.1, 0.01)
 
     def __post_init__(self):
-        object.__setattr__(self, "method", Method(self.method))
-        if check_int(self.n_try, "n_try") < 1:
-            raise ValueError(f"n_try must be >= 1, got {self.n_try}")
+        object.__setattr__(self, "method", Method(check_int(self.method, "method", 1, 4)))
+        check_int(self.n_try, "n_try", 1)
         sigmas = tuple(self.noise_sigmas)
         if not all(0 < s < np.inf for s in sigmas):
             raise ValueError(f"noise sigmas must be finite and positive, got {sigmas}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, Level, check_queries
+from .core import Dataset, Level, check_int, check_queries
 from .strategies import StrategyConfig, choose_directions
 
 MAX_DEGENERATE_RETRIES = 3  # fresh draws for a node whose split leaves a side empty
@@ -27,8 +27,7 @@ class TreeConfig:
     strategy: StrategyConfig = field(default_factory=StrategyConfig)
 
     def __post_init__(self):
-        if self.leaf_capacity < 2:
-            raise ValueError(f"leaf_capacity must be >= 2, got {self.leaf_capacity}")
+        check_int(self.leaf_capacity, "leaf_capacity", 2)
 
 
 @dataclass

@@ -353,7 +353,7 @@ class TestFailFast:
         ("1,nan\n3,4\n", [], 1, "d.csv: non-finite value at row 1, column 1"),
         (None, ["--dataset", "no_such_file.csv"], 2, "No such file or directory: 'no_such_file.csv'"),
         (None, ["--dataset", BLOBS, "--out", "no_such_dir/r.csv"], 2, "output directory does not exist"),
-        (None, ["--dataset", BLOBS, "--ntry", "0"], 1, "n_try must be >= 1"),
+        (None, ["--dataset", BLOBS, "--ntry", "0"], 1, "n_try must be an integer in [1, inf], got 0"),
         (None, ["--dataset", BLOBS, "--noise-sigmas", "0.01", "0.1"], 1, "strictly decreasing"),
         (None, ["--dataset", BLOBS, "--noise-sigmas", "-1"], 1, "noise sigmas must be finite and positive"),
         (None, ["--dataset", BLOBS, "--ttest-threshold", "0"], 1, "need >= 2 repetitions per cell"),
@@ -369,7 +369,7 @@ class TestFailFast:
         ("1e160,1\n-1e160,2\n0,3\n5,4\n6,5\n", [], 1, "squared distances of the data overflow"),
         ("5,1\n", ["--standardize"], 1, "standardizing needs at least 2 data rows"),
         ("1e160,1\n-1e160,2\n0,3\n5,4\n6,5\n", ["--standardize"], 1, "standardizing column 0 overflows"),
-        (None, ["--dataset", BLOBS, "--seed", "-1"], 1, "--seed must be >= 0"),
+        (None, ["--dataset", BLOBS, "--seed", "-1"], 1, "--seed must be an integer in [0, inf], got -1"),
         (None, ["--dataset", BLOBS, "--methods", "1", "1"], 1, "--methods must not repeat a value"),
         (None, ["--dataset", BLOBS, "--trees", "5", "5"], 1, "--trees must not repeat a value"),
         (None, ["--dataset", BLOBS, "--k", "3", "3"], 1, "--k must not repeat a value"),
@@ -384,9 +384,9 @@ class TestFailFast:
         (None, ["--dataset", BLOBS, "--config", {"standardize": True}], 1, "--standardize applies to CSV"),
         (None, ["--dataset", BLOBS, "--config", {"label_column": 0}], 1, "--label-column applies to CSV"),
         # grid values and CSV files with no valid rows
-        (None, ["--dataset", BLOBS, "--trees", "0"], 1, "forest sizes must be positive"),
-        (None, ["--dataset", BLOBS, "--k", "0"], 1, "k values must be positive"),
-        (None, ["--dataset", BLOBS, "--reps", "0"], 1, "repetitions must be >= 1"),
+        (None, ["--dataset", BLOBS, "--trees", "0"], 1, "--trees must be an integer in [1, inf], got 0"),
+        (None, ["--dataset", BLOBS, "--k", "0"], 1, "--k must be an integer in [1, inf], got 0"),
+        (None, ["--dataset", BLOBS, "--reps", "0"], 1, "--reps must be an integer in [1, inf], got 0"),
         ("1,2\n\n3,x\n", [], 1, "non-numeric cell at row 3, column 1"),  # blank lines skipped, still counted
         ("\n", [], 1, "d.csv: no data rows"),
         # malformed flags and config files: one error line, not argparse's usage

@@ -1,17 +1,20 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rpforest.cli
+from rpforest.cli import ExperimentConfig, run_experiment_grid
 from rpforest.core import (
     Dataset,
     Level,
     dispersion,
     random_unit_direction,
 )
-from rpforest.data import gen_gaussian_blobs
+from rpforest.data import gen_concentric_rings, gen_gaussian_blobs, load_csv
 from rpforest.forest import build_forest
 from rpforest.strategies import StrategyConfig
 from rpforest.tree import TreeConfig
@@ -162,19 +165,43 @@ class TestRandomUnitDirection:
             random_unit_direction(0, np.random.default_rng(9))
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started before the arguments were checked")
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: build_forest(Dataset(np.eye(3)), TreeConfig(), 2.5, 0), "n_trees must be an integer, got 2.5"),
-        (lambda: build_forest(Dataset(np.eye(3)), TreeConfig(), 0, 0), "need at least 1 tree, got 0"),
-        (lambda: StrategyConfig(method=2, n_try=2.5), "n_try must be an integer, got 2.5"),
-        (lambda: StrategyConfig(method=2, n_try=0), "n_try must be >= 1, got 0"),
-        (lambda: gen_gaussian_blobs(10.5, 2, 2, 1.0, 0), "n must be an integer, got 10.5"),
-        (lambda: gen_gaussian_blobs(1, 2, 2, 1.0, 0), "need n >= 2, got 1"),
+        (lambda: build_forest(Dataset(np.eye(3)), TreeConfig(), 2.5, 0), "n_trees must be an integer in [1, inf], got 2.5"),
+        (lambda: build_forest(Dataset(np.eye(3)), TreeConfig(), 0, 0), "n_trees must be an integer in [1, inf], got 0"),
+        (lambda: StrategyConfig(method=2, n_try=2.5), "n_try must be an integer in [1, inf], got 2.5"),
+        (lambda: StrategyConfig(method=2, n_try=0), "n_try must be an integer in [1, inf], got 0"),
+        (lambda: gen_gaussian_blobs(10.5, 2, 2, 1.0, 0), "n must be an integer in [2, inf], got 10.5"),
+        (lambda: gen_gaussian_blobs(1, 2, 2, 1.0, 0), "n must be an integer in [2, inf], got 1"),
+        (lambda: TreeConfig(leaf_capacity=20.5), "leaf_capacity must be an integer in [2, inf], got 20.5"),
+        (lambda: TreeConfig(leaf_capacity="3"), "leaf_capacity must be an integer in [2, inf], got '3'"),
+        (lambda: StrategyConfig(method=2.0), "method must be an integer in [1, 4], got 2.0"),
+        (lambda: StrategyConfig(method=5), "method must be an integer in [1, 4], got 5"),
+        (lambda: gen_gaussian_blobs(200, 2, 2.5, 1.0, 0), "centers must be an integer in [1, inf], got 2.5"),
+        (lambda: gen_gaussian_blobs(200, 2.5, 2, 1.0, 0), "d must be an integer in [1, inf], got 2.5"),
+        (lambda: gen_gaussian_blobs(200, -1, 2, 1.0, 0), "d must be an integer in [1, inf], got -1"),
+        (lambda: gen_concentric_rings(2.5, [1.0], 0.0, 0), "n must be an integer in [1, inf], got 2.5"),
+        (lambda: gen_concentric_rings(-3, [1.0], 0.0, 0), "n must be an integer in [1, inf], got -3"),
+        (lambda: random_unit_direction(2.5, np.random.default_rng(0)), "d must be an integer in [1, inf], got 2.5"),
+        (lambda: load_csv("no_such_file.csv", label_column=1.5), "label_column must be an integer, got 1.5"),
+        (
+            lambda: run_experiment_grid(Dataset(np.eye(3)), ExperimentConfig(k_values=(1,), repetitions=2.5)),
+            "--reps must be an integer in [1, inf], got 2.5",
+        ),
     ],
-    ids=["n_trees", "n_trees<1", "n_try", "n_try<1", "n", "n<2"],
+    ids=[
+        "n_trees", "n_trees<1", "n_try", "n_try<1", "n", "n<2", "leaf_capacity", "leaf_capacity-str", "method",
+        "method>4", "centers", "d", "d<1", "rings-n", "rings-n<1", "direction-d", "label_column", "reps",
+    ],
 )
-def test_counts_are_integers_at_the_minimum_or_above(call, message):
-    # a non-integer count is a ValueError that names the argument, before any work
-    with pytest.raises(ValueError, match=f"^{message}$"):
+def test_counts_are_integers_at_the_minimum_or_above(call, message, monkeypatch):
+    # a non-integer count is a ValueError that names the argument, before any work:
+    # load_csv does not open its file, and the grid does not start its exact oracle
+    monkeypatch.setattr(rpforest.cli, "all_true_neighbors", _must_not_run)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -201,7 +202,11 @@ class TestGaussianBlobs:
 
     @pytest.mark.parametrize(
         "n, centers, message",
-        [(1, 1, "need n >= 2, got 1"), (10, 0, "need at least one center"), (10, np.zeros((2, 3)), "centers have d=3, expected 2")],
+        [
+            (1, 1, re.escape("n must be an integer in [2, inf], got 1")),
+            (10, 0, re.escape("centers must be an integer in [1, inf], got 0")),
+            (10, np.zeros((2, 3)), "centers have d=3, expected 2"),
+        ],
     )
     def test_bad_arguments_named(self, n, centers, message):
         with pytest.raises(ValueError, match=message):

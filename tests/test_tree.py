@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,7 +179,7 @@ class TestBuildTree:
         check(tree.root)
 
     def test_leaf_capacity_below_2_rejected(self):
-        with pytest.raises(ValueError, match="leaf_capacity must be >= 2, got 1"):
+        with pytest.raises(ValueError, match=re.escape("leaf_capacity must be an integer in [2, inf], got 1")):
             TreeConfig(leaf_capacity=1)
 
     def test_empty_dataset_rejected(self):
