@@ -82,7 +82,7 @@ class ExperimentConfig:
         for flag, values in (("--methods", self.methods), ("--trees", self.forest_sizes), ("--k", self.k_values)):
             if len(set(values)) < len(values):
                 raise ConfigError(f"{flag} must not repeat a value, got {values}")
-        if self.leaf_capacity < 3:
+        if check_int(self.leaf_capacity, "--leaf-capacity") < 3:
             raise ConfigError(
                 f"leaf capacity must be >= 3, got {self.leaf_capacity}: below 3 every leaf "
                 "holds one point, so no training point has a candidate besides itself"

@@ -60,11 +60,11 @@ def check_self_ids(self_ids, m: int, n: int) -> np.ndarray | None:
 
 
 def check_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
-    """value as an int (operator.index) in [low, high], no bound where a limit
-    is None, else ValueError naming it."""
+    """value as an int (operator.index; a bool is not one) in [low, high], no
+    bound where a limit is None, else ValueError naming it."""
     lo, hi = -math.inf if low is None else low, math.inf if high is None else high
     try:
-        index = operator.index(value)
+        index = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         index = None
     if index is None or not lo <= index <= hi:

@@ -16,6 +16,7 @@ from rpforest.core import (
 )
 from rpforest.data import gen_concentric_rings, gen_gaussian_blobs, load_csv
 from rpforest.forest import build_forest
+from rpforest.oracle import exact_knn
 from rpforest.strategies import StrategyConfig
 from rpforest.tree import TreeConfig
 
@@ -193,10 +194,21 @@ def _must_not_run(*args, **kwargs):
             lambda: run_experiment_grid(Dataset(np.eye(3)), ExperimentConfig(k_values=(1,), repetitions=2.5)),
             "--reps must be an integer in [1, inf], got 2.5",
         ),
+        # a bool is not a count: True would read as 1
+        (lambda: load_csv("no_such_file.csv", label_column=True), "label_column must be an integer, got True"),
+        (
+            lambda: build_forest(Dataset(np.eye(3)), TreeConfig(), True, 0),
+            "n_trees must be an integer in [1, inf], got True",
+        ),
+        (lambda: exact_knn(Dataset(np.eye(3)), np.zeros(3), True), "k must be an integer in [1, 3], got True"),
+        # the grid's leaf capacity is an integer before it is compared with 3
+        (lambda: ExperimentConfig(leaf_capacity="3").validate(), "--leaf-capacity must be an integer, got '3'"),
+        (lambda: ExperimentConfig(leaf_capacity=20.5).validate(), "--leaf-capacity must be an integer, got 20.5"),
     ],
     ids=[
         "n_trees", "n_trees<1", "n_try", "n_try<1", "n", "n<2", "leaf_capacity", "leaf_capacity-str", "method",
         "method>4", "centers", "d", "d<1", "rings-n", "rings-n<1", "direction-d", "label_column", "reps",
+        "label_column-bool", "n_trees-bool", "k-bool", "grid-leaf_capacity-str", "grid-leaf_capacity-float",
     ],
 )
 def test_counts_are_integers_at_the_minimum_or_above(call, message, monkeypatch):

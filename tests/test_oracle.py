@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import reference
 import rpforest.core
 import rpforest.forest
+import rpforest.oracle
 from rpforest.core import Dataset
 from rpforest.oracle import all_true_neighbors, exact_knn
 
@@ -163,14 +164,22 @@ class TestAllTrueNeighbors:
         ds = Dataset.from_points(np.random.default_rng(2).normal(size=(37, 3)))
         assert len(all_true_neighbors(ds, 4)) == 37
 
-    def test_rows_match_exact_knn(self):
-        pts = np.random.default_rng(3).normal(size=(120, 5))
+    @pytest.mark.parametrize("kind", ["continuous", "huge", "mixed", "tiny", "grid"])
+    def test_rows_match_exact_knn(self, kind):
+        # a lone row is ranked against every point, a batch row against the
+        # filter's survivors: with a self id, without one, and for queries
+        # that are the points and that are not
+        pts = kind_points(kind, np.random.default_rng(3), (120, 5))
         ds = Dataset.from_points(pts)
         table = all_true_neighbors(ds, 6)
         for i in range(0, 120, 11):
             single = exact_knn(ds, pts[i], 6, self_id=i)
             np.testing.assert_array_equal(table[i].ids, single.ids)
             np.testing.assert_array_equal(table[i].distances, single.distances)
+        middles = pts[0:120:11] / 2 + pts[5:120:11] / 2
+        for queries in (ds.points, middles):
+            for q, row in zip(queries, rpforest.oracle._rows(ds, queries, None, 6), strict=True):
+                assert_same_row(row, exact_knn(ds, q, 6))
 
     def test_mutual_nearest_neighbors_symmetric_distance(self):
         pts = np.random.default_rng(4).normal(size=(80, 2))
@@ -183,8 +192,12 @@ class TestAllTrueNeighbors:
 
     # each fails with one part of the oracle's filter slack taken out: the
     # huge and mixed ones without the overflow rule, grid with tol = 0, and
-    # tiny (seed 2, 1-d) without the absolute term for underflow
-    @pytest.mark.parametrize("kind, seed, d", [("huge", 13, 3), ("mixed", 13, 3), ("tiny", 2, 1), ("grid", 13, 3)])
+    # tiny without the absolute term for underflow (seed 2 for a filter
+    # that adds |x|^2 and scales by -2 in passes of their own, seed 71 for
+    # the one product of [x, 1] and [-2 y, |y|^2])
+    @pytest.mark.parametrize(
+        "kind, seed, d", [("huge", 13, 3), ("mixed", 13, 3), ("tiny", 2, 1), ("grid", 13, 3), ("tiny", 71, 1)]
+    )
     def test_regression_rows_where_gram_terms_round_overflow_or_underflow(self, kind, seed, d):
         data = Dataset.from_points(kind_points(kind, np.random.default_rng(seed), (12, d)))
         for k in (1, 5, 11):
