@@ -3,7 +3,7 @@ split-direction strategies, an exact brute-force oracle, and a benchmark CLI.
 """
 
 from .core import Dataset, dispersion, random_unit_direction
-from .forest import NeighborList, RpForest, build_forest, query_batch, query_knn, query_all_training
+from .forest import NeighborList, NeighborTable, RpForest, build_forest, query_batch, query_knn, query_all_training
 from .metrics import distance_error, missing_rate
 from .oracle import all_true_neighbors, exact_knn
 from .stats import TTestResult, two_sample_ttest
@@ -14,6 +14,7 @@ __all__ = [
     "Dataset",
     "Method",
     "NeighborList",
+    "NeighborTable",
     "RpForest",
     "StrategyConfig",
     "TTestResult",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Dataset, check_int
 from .data import gen_concentric_rings, gen_gaussian_blobs, load_csv
-from .forest import NeighborList, build_forest, query_all_training
+from .forest import build_forest, query_all_training
 from .metrics import distance_error, missing_rate
 from .oracle import all_true_neighbors
 from .stats import two_sample_ttest
@@ -156,7 +156,7 @@ def run_experiment_grid(data: Dataset, cfg: ExperimentConfig) -> list[dict]:
     reps = cfg.effective_repetitions(data.n)
     # rows sorted by (distance, id): each smaller k's rows are prefixes
     widest = all_true_neighbors(data, max(cfg.k_values))
-    truth = {k: [NeighborList(row.ids[:k], row.distances[:k]) for row in widest] for k in cfg.k_values}
+    truth = {k: widest.prefix(k) for k in cfg.k_values}
     rows = []
     for cell_index, (method, n_trees, k) in enumerate(cfg.cells()):
         for rep in range(reps):

@@ -113,7 +113,8 @@ class Level:
         self.points, self.sizes, self.starts = points, sizes, np.cumsum(sizes) - sizes
         self.seg = seg = np.repeat(np.arange(sizes.size), sizes)
         self.blocks, self.heads = points[: k * b].reshape(k, b, d), seg[: k * b : b]
-        self.rest = np.flatnonzero(seg != np.pad(self.heads.repeat(b), (0, n - k * b), constant_values=-1))
+        # rows whose node is not their block's first row's, then the tail rows
+        self.rest = np.append(np.flatnonzero(seg[: k * b].reshape(k, b) != self.heads[:, None]), np.arange(k * b, n))
         self.rest_points, self.rest_seg = points.take(self.rest, axis=0), seg.take(self.rest)
 
     def project(self, r: np.ndarray) -> np.ndarray:
@@ -129,14 +130,26 @@ def random_unit_direction(d: int, rng: np.random.Generator, size: tuple[int, ...
     """Uniform random direction on the (d-1)-sphere: normalized Gaussian draw.
 
     With size, an array of shape (*size, d) of independent directions from
-    one bulk draw; a draw of norm <= 1e-12 is drawn again.
-    """
+    one bulk draw; a draw of norm <= 1e-12 is drawn again. It is the
+    one-generator case of random_unit_directions."""
+    return random_unit_directions(d, [rng], [1], size)[0]
+
+
+def random_unit_directions(d: int, rngs, counts, size: tuple[int, ...] = ()) -> np.ndarray:
+    """random_unit_direction(d, rngs[i], (counts[i], *size)) for every i,
+    stacked: one draw call per generator, then one normalizing pass. A draw of
+    norm <= 1e-12 is drawn again from its own generator, before that
+    generator's next draw; the generators must be distinct objects."""
     d = check_int(d, "d", 1)
-    v = rng.standard_normal((*size, d))
+    pairs = [(rng, c) for rng, c in zip(rngs, counts) if c]
+    v = np.concatenate([rng.standard_normal((c, *size, d)) for rng, c in pairs])
     norm = np.linalg.norm(v, axis=-1)
-    while (short := norm <= 1e-12).any():
-        v[short] = rng.standard_normal((int(short.sum()), d))
-        norm[short] = np.linalg.norm(v[short], axis=-1)
+    if (norm <= 1e-12).any():  # each generator's redraws, from its own stream
+        for (rng, c), hi in zip(pairs, np.cumsum([c for _, c in pairs]).tolist()):
+            vs, ns = v[hi - c : hi], norm[hi - c : hi]
+            while (short := ns <= 1e-12).any():
+                vs[short] = rng.standard_normal((int(short.sum()), d))
+                ns[short] = np.linalg.norm(vs[short], axis=-1)
     return v / norm[..., None]
 
 

@@ -8,6 +8,7 @@ goes straight from routing to pooling to ranking; a batch is cut into chunks
 that are pooled and ranked in _search, the oracle's driver too.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,6 +36,54 @@ class NeighborList:
 
     def __len__(self) -> int:
         return int(self.ids.size)
+
+
+@dataclass(eq=False)
+class NeighborTable(Sequence):
+    """Ranked rows in CSR form: row i is ids[indptr[i]:indptr[i + 1]] with its
+    distances, sorted as a NeighborList; rows may be shorter than k. An
+    integer index gives a row's NeighborList view, a slice or an index array
+    a table of those rows. Tables compare and hash by identity."""
+
+    indptr: np.ndarray
+    ids: np.ndarray
+    distances: np.ndarray
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+    def __getitem__(self, key):
+        if isinstance(key, slice) or np.ndim(key):
+            rows = np.arange(len(self))[key]
+            return self._take(rows, np.diff(self.indptr)[rows])
+        i = range(len(self))[key]  # negative and numpy integers too; IndexError past the end
+        lo, hi = self.indptr[i : i + 2].tolist()
+        return NeighborList(self.ids[lo:hi], self.distances[lo:hi])
+
+    def __iter__(self):
+        bounds = self.indptr.tolist()
+        return (NeighborList(self.ids[lo:hi], self.distances[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+    # + joins rows into a list, as on the row lists the table replaces
+    __add__, __radd__ = (lambda self, other: [*self, *other]), (lambda self, other: [*other, *self])
+
+    def prefix(self, k: int) -> "NeighborTable":
+        """Each row's first k entries: the table ranked for k from a larger k's."""
+        return self._take(np.arange(len(self)), np.minimum(np.diff(self.indptr), check_int(k, "k", 1)))
+
+    def _take(self, rows, lengths) -> "NeighborTable":
+        """The table of the given rows, in that order, each cut to its length."""
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        pos = np.repeat(self.indptr[:-1][rows] - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return NeighborTable(indptr, self.ids[pos], self.distances[pos])
+
+    @classmethod
+    def concat(cls, tables) -> "NeighborTable":
+        """The rows of tables, one after another."""
+        ends = np.cumsum([0] + [t.ids.size for t in tables]).tolist()
+        indptr = np.concatenate([[0], *(t.indptr[1:] + e for t, e in zip(tables, ends))])
+        ids = np.concatenate([np.empty(0, np.intp), *(t.ids for t in tables)])
+        return cls(indptr, ids, np.concatenate([np.empty(0), *(t.distances for t in tables)]))
 
 
 @dataclass(eq=False)
@@ -135,11 +184,12 @@ def _pool(forest: RpForest, leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return out[:2]
 
 
-def _rank(points, queries, indptr, indices, k: int, self_ids) -> list[NeighborList]:
+def _rank(points, queries, indptr, indices, k: int, self_ids) -> NeighborTable:
     """The k best (distance, id) pairs of each pool row, minus the row's own id
-    (self_ids None: none). A lone row partitions its distances for its k-th;
-    2+ rows padded with inf give each row's k-th by partitioning the grid.
-    The flat candidates (in row order) up to it, ties included, get sorted."""
+    (self_ids None: none), as a table. A lone row partitions its distances for
+    its k-th; 2+ rows padded with inf give each row's k-th by partitioning the
+    grid. The flat candidates (in row order) up to it, ties included, get
+    sorted, and each row's first k are kept."""
     m, ids = queries.shape[0], indices[indptr[0] : indptr[-1]]
     if m == 1:
         if self_ids is not None:
@@ -151,7 +201,7 @@ def _rank(points, queries, indptr, indices, k: int, self_ids) -> list[NeighborLi
             pick = dists <= np.partition(dists, k - 1)[k - 1]
             ids, dists = ids[pick], dists[pick]
         order = np.lexsort((ids, dists))[:k]
-        return [NeighborList(ids[order].astype(np.intp), dists[order])]
+        return NeighborTable(np.array([0, order.size]), ids[order].astype(np.intp), dists[order])
     row = np.repeat(np.arange(m), np.diff(indptr))
     if self_ids is not None:
         keep = ids != self_ids[row]
@@ -165,33 +215,34 @@ def _rank(points, queries, indptr, indices, k: int, self_ids) -> list[NeighborLi
     last = min(k, grid.shape[1]) - 1
     pick = dists <= np.partition(grid, last, axis=1)[row, last]  # up to each k-th distance
     row, ids, dists = row[pick], ids[pick], dists[pick]
-    order = np.lexsort((ids, dists, row))
-    ids, dists = ids[order].astype(np.intp), dists[order]
-    starts = np.searchsorted(row, np.arange(m)).tolist()  # row stays sorted
-    return [NeighborList(ids[s : s + n], dists[s : s + n]) for s, n in zip(starts, np.minimum(counts, k).tolist())]
+    picked = np.bincount(row, minlength=m)
+    order = np.lexsort((ids, dists, row))  # row after row: drop each row's entries past its k-th
+    order = order[np.arange(order.size) - np.repeat(np.cumsum(picked) - picked, picked) < k]
+    indptr = np.concatenate([[0], np.cumsum(np.minimum(counts, k))])
+    return NeighborTable(indptr, ids[order].astype(np.intp), dists[order])
 
 
-def _search(points, queries, self_ids, k: int, widths, pool) -> list[NeighborList]:
+def _search(points, queries, self_ids, k: int, widths, pool) -> NeighborTable:
     """The one path from queries to ranked rows, for the forest and the oracle:
     chunks of queries whose widths (bytes held per query while pooled) fit
     POOL_BYTES over all workers run on parallel_map's threads, and the CSR
     (indptr, indices) pools that pool(lo, hi) gives are ranked in spans."""
     budget = POOL_BYTES // core.WORKERS
 
-    def task(chunk) -> list[NeighborList]:
+    def task(chunk) -> list[NeighborTable]:
         lo, hi = chunk
         indptr, indices = pool(lo, hi)
-        rows = []
+        tables = []
         for a, b in _spans(np.diff(indptr), budget // (8 * (3 * points.shape[1] + 6))):
             span = slice(lo + a, lo + b)
             own = None if self_ids is None else self_ids[span]
-            rows += _rank(points, queries[span], indptr[a : b + 1], indices, k, own)
-        return rows
+            tables.append(_rank(points, queries[span], indptr[a : b + 1], indices, k, own))
+        return tables
 
-    return [row for part in core.parallel_map(task, _spans(widths, budget)) for row in part]
+    return NeighborTable.concat([t for part in core.parallel_map(task, _spans(widths, budget)) for t in part])
 
 
-def _kernel(forest: RpForest, queries, k: int, self_ids=None, leaves=None) -> list[NeighborList]:
+def _kernel(forest: RpForest, queries, k: int, self_ids=None, leaves=None) -> NeighborTable:
     """The forest's query path: route (unless leaves are given), pool and
     rank. A lone query is pooled and ranked directly; a batch goes through
     _search, each query's width being 8 bytes per candidate before merging
@@ -212,7 +263,7 @@ def _kernel(forest: RpForest, queries, k: int, self_ids=None, leaves=None) -> li
     self_ids = None if self_ids is None else self_ids[order]
     merged = (forest.membership.indptr[leaves + 1] - forest.membership.indptr[leaves]).sum(axis=1)
     rows = _search(forest.data.points, queries, self_ids, k, 8 * merged, lambda lo, hi: _pool(forest, leaves[lo:hi]))
-    return [rows[i] for i in np.argsort(order).tolist()]
+    return rows[np.argsort(order)]
 
 
 def query_knn(forest: RpForest, x, k: int, self_id: int | None = None) -> NeighborList:
@@ -224,7 +275,7 @@ def query_knn(forest: RpForest, x, k: int, self_id: int | None = None) -> Neighb
     return _kernel(forest, np.asarray(x, dtype=np.float64)[None], k, own)[0]
 
 
-def query_all_training(forest: RpForest, k: int) -> list[NeighborList]:
+def query_all_training(forest: RpForest, k: int) -> NeighborTable:
     """query_knn for every dataset point with self-exclusion; each point's
     leaves are read off the stored leaf_of instead of being routed."""
     leaves = forest.leaf_of.T + forest.leaf_base[:-1]
@@ -233,6 +284,6 @@ def query_all_training(forest: RpForest, k: int) -> list[NeighborList]:
 
 def query_batch(
     forest: RpForest, queries: np.ndarray, k: int, self_ids: np.ndarray | None = None
-) -> list[NeighborList]:
+) -> NeighborTable:
     """query_knn for a batch of arbitrary query points."""
     return _kernel(forest, queries, k, self_ids)

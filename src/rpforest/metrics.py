@@ -11,24 +11,26 @@ from typing import Sequence
 import numpy as np
 
 from .core import check_int
-from .forest import NeighborList
+from .forest import NeighborList, NeighborTable
 
 
 def _read(truth: Sequence[NeighborList], found: Sequence[NeighborList], k: int):
-    """k and each table's rows, read once, as (row lengths, ids, distances).
-    Checks k, equal and non-zero row counts, truth rows of k entries and
-    non-negative ids, else ValueError."""
+    """k and each table's rows, read once, as (row lengths, ids, distances):
+    a NeighborTable's arrays, or a sequence of rows concatenated. Checks k,
+    equal and non-zero row counts, truth rows of k entries and non-negative
+    ids, else ValueError."""
     k = check_int(k, "k", 1)
     if len(truth) != len(found) or len(truth) == 0:
         raise ValueError(f"empty tables or a row-count mismatch: truth has {len(truth)} rows, found has {len(found)}")
     tables = []
     for name, table in (("truth", truth), ("found", found)):
-        ids, dists = zip(*[(row.ids, row.distances) for row in table])
-        lengths = np.fromiter(map(len, ids), np.intp, len(ids))
-        ids = np.concatenate(ids).astype(np.intp, copy=False)
-        if (low := ids.min(initial=0)) < 0:
+        if not isinstance(table, NeighborTable):
+            ids, dists = zip(*[(row.ids, row.distances) for row in table])
+            indptr = np.concatenate([[0], np.cumsum(np.fromiter(map(len, ids), np.intp, len(ids)))])
+            table = NeighborTable(indptr, np.concatenate(ids).astype(np.intp, copy=False), np.concatenate(dists))
+        if (low := table.ids.min(initial=0)) < 0:
             raise ValueError(f"{name} ids must be non-negative, got {low}")
-        tables.append((lengths, ids, np.concatenate(dists)))
+        tables.append((np.diff(table.indptr), table.ids, table.distances))
     if (bad := np.flatnonzero(tables[0][0] != k)).size:
         raise ValueError(f"truth row {bad[0]} has {tables[0][0][bad[0]]} entries, expected k={k}")
     return k, *tables

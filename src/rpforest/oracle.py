@@ -16,14 +16,14 @@ candidates. Its independent check is tests/reference.py.
 import numpy as np
 
 from .core import Dataset, check_int, check_queries, check_self_ids
-from .forest import NeighborList, _rank, _search
+from .forest import NeighborList, NeighborTable, _rank, _search
 
 _EPS, _TINY, _HUGE = np.finfo(np.float64).eps / 2, np.finfo(np.float64).tiny, np.finfo(np.float64).max / 8
 
 
-def _rows(data: Dataset, queries, self_ids, k: int) -> list[NeighborList]:
+def _rows(data: Dataset, queries, self_ids, k: int) -> NeighborTable:
     """The k nearest points to each query row, without its self id (self_ids
-    None: none). Queries, self ids and k are checked here, once for both entry
+    None: none), as one table (forest.NeighborTable). Queries, self ids and k are checked here, once for both entry
     points: k is at most n, or n - 1 when a row leaves out its self id.
 
     A lone row is ranked against every point: a filter costs O(n d) as that
@@ -93,6 +93,7 @@ def exact_knn(data: Dataset, x, k: int, self_id: int | None = None) -> NeighborL
     return _rows(data, np.asarray(x, dtype=np.float64)[None], None if self_id is None else [self_id], k)[0]
 
 
-def all_true_neighbors(data: Dataset, k: int) -> list[NeighborList]:
-    """exact_knn for every dataset point with self-exclusion."""
+def all_true_neighbors(data: Dataset, k: int) -> NeighborTable:
+    """exact_knn for every dataset point with self-exclusion, as one table;
+    table.prefix(j) holds the rows for any j <= k."""
     return _rows(data, data.points, data.ids, k)

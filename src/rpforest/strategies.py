@@ -15,7 +15,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .core import Level, check_int, dispersion, random_unit_direction
+from .core import Level, check_int, dispersion, random_unit_directions
 
 
 class Method(IntEnum):
@@ -61,19 +61,15 @@ def choose_directions(level: Level, cfg: StrategyConfig, rngs, counts):
     The first counts[0] nodes draw from rngs[0], the next counts[1] from
     rngs[1], and so on; each generator makes one bulk draw per stage for all
     of its nodes (method 2: n_try directions each; method 3: then n_try noise
-    vectors each per sigma). Candidates are scored through level.project.
+    vectors each per sigma), and a stage's draws are normalized together (see
+    core.random_unit_directions). Candidates are scored through level.project.
     Returns the (m, d) directions and the (m, s) dispersion of the incumbent
     after each stage, non-decreasing along a row: s = 0 for methods 1 and 4,
     1 for method 2 and 1 + len(noise_sigmas) for method 3.
     """
     m, d = level.sizes.size, level.points.shape[1]
-    pairs = [(rng, c) for rng, c in zip(rngs, counts) if c]
-
-    def draw(one):  # one bulk draw per generator, stacked in node order
-        return np.concatenate([one(rng, c) for rng, c in pairs])
-
     if cfg.method == Method.RANDOM_DIRECTION:
-        return draw(lambda rng, c: random_unit_direction(d, rng, (c,))), np.empty((m, 0))
+        return random_unit_directions(d, rngs, counts), np.empty((m, 0))
     if cfg.method == Method.PRINCIPAL_COMPONENT:
         return principal_components(level), np.empty((m, 0))
 
@@ -86,13 +82,13 @@ def choose_directions(level: Level, cfg: StrategyConfig, rngs, counts):
         better = valid & (disp > best_disp)
         best[better], best_disp[better] = cand[better], disp[better]
 
-    candidates = draw(lambda rng, c: random_unit_direction(d, rng, (c, cfg.n_try)))
+    candidates = random_unit_directions(d, rngs, counts, (cfg.n_try,))
     for j in range(cfg.n_try):
         consider(candidates[:, j])
     stages = [best_disp.copy()]
     if cfg.method == Method.NOISE_TUNED_DISPERSION:
         for sigma in cfg.noise_sigmas:
-            noise = draw(lambda rng, c: rng.normal(scale=sigma, size=(c, cfg.n_try, d)))
+            noise = np.concatenate([rng.normal(scale=sigma, size=(c, cfg.n_try, d)) for rng, c in zip(rngs, counts) if c])
             for j in range(cfg.n_try):
                 cand = best + noise[:, j]
                 norm = np.sqrt(np.einsum("ij,ij->i", cand, cand))

@@ -12,6 +12,8 @@ import rpforest.forest
 from rpforest.core import Dataset
 from rpforest.data import gen_gaussian_blobs
 from rpforest.forest import (
+    NeighborList,
+    NeighborTable,
     _rank,
     _spans,
     build_forest,
@@ -286,10 +288,85 @@ class TestQueryBatch:
     def test_empty_batch_and_huge_k(self):
         ds = random_dataset(18)
         forest = build_forest(ds, TreeConfig(), 3, master_seed=19)
-        assert query_batch(forest, np.empty((0, 2)), 4) == []
+        assert len(query_batch(forest, np.empty((0, 2)), 4)) == 0  # a table of no rows
         # k beyond the pool returns the whole pool without sizing anything by k
         found = query_knn(forest, ds.points[0], 10**12, self_id=0)
         assert 0 < len(found) < ds.n
+
+
+class TestNeighborTable:
+    """A table reads as the list of rows it replaces: rows are views of its
+    arrays, and slices, index arrays and prefix(k) give tables."""
+
+    @staticmethod
+    def table():
+        # rows of 3, 0, 2 and 1 entries
+        return NeighborTable(np.array([0, 3, 3, 5, 6]), np.array([4, 1, 7, 2, 0, 5]), np.array([0.5, 1.0, 1.0, 0.2, 0.3, 2.0]))
+
+    @staticmethod
+    def as_lists(rows):
+        return [(r.ids.tolist(), r.distances.tolist()) for r in rows]
+
+    def test_rows_by_index_and_iteration(self):
+        t = self.table()
+        expected = [([4, 1, 7], [0.5, 1.0, 1.0]), ([], []), ([2, 0], [0.2, 0.3]), ([5], [2.0])]
+        assert len(t) == 4
+        assert self.as_lists(t) == self.as_lists([t[i] for i in range(4)]) == expected
+        assert isinstance(t[0], NeighborList) and len(t[0]) == 3 and len(t[1]) == 0
+        assert self.as_lists([t[np.int64(2)], t[np.intp(3)], t[-1], t[-4]]) == [expected[i] for i in (2, 3, 3, 0)]
+        with pytest.raises(IndexError):
+            t[4]
+        with pytest.raises(IndexError):
+            t[-5]
+        with pytest.raises(TypeError):
+            t[1.0]
+
+    def test_slices_and_index_arrays_give_tables(self):
+        t, rows = self.table(), self.as_lists(self.table())
+        for key in (slice(None, 2), slice(1, None), slice(None, None, -1), slice(0, 4, 2), slice(3, 1), slice(None)):
+            part = t[key]
+            assert isinstance(part, NeighborTable) and self.as_lists(part) == rows[key]
+            assert part.indptr[0] == 0 and part.indptr[-1] == part.ids.size == part.distances.size
+        assert self.as_lists(t[np.array([3, 0, 0])]) == [rows[3], rows[0], rows[0]]
+        assert self.as_lists(t[np.array([True, False, True, False])]) == [rows[0], rows[2]]
+
+    def test_prefix(self):
+        t = self.table()
+        assert self.as_lists(t.prefix(1)) == [([4], [0.5]), ([], []), ([2], [0.2]), ([5], [2.0])]
+        assert self.as_lists(t.prefix(2)) == [([4, 1], [0.5, 1.0]), ([], []), ([2, 0], [0.2, 0.3]), ([5], [2.0])]
+        assert self.as_lists(t.prefix(10)) == self.as_lists(t)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            t.prefix(0)
+
+    def test_the_benchmarks_call_patterns(self):
+        """bench/ slices a table, indexes it with a numpy array's items, extends
+        a list with it and checks its rows; a test adds tables."""
+        t, rows = self.table(), self.as_lists(self.table())
+        assert self.as_lists(t[:2]) == rows[:2]
+        assert self.as_lists([t[i] for i in np.array([2, 0])]) == [rows[2], rows[0]]
+        first = []
+        first.extend(t)
+        assert self.as_lists(first) == rows
+        joined = t + t[:1]
+        joined += [t[3]]
+        joined += t
+        assert isinstance(joined, list) and self.as_lists(joined) == rows + rows[:1] + [rows[3]] + rows
+        assert self.as_lists([t[0]] + t) == rows[:1] + rows
+        assert len(NeighborTable.concat([])) == 0
+        assert self.as_lists(NeighborTable.concat([t, t[2:], t[:0]])) == rows + rows[2:]
+
+    def test_query_paths_return_one_table(self):
+        ds = random_dataset(70)
+        forest = build_forest(ds, TreeConfig(), 3, master_seed=71)
+        truth = all_true_neighbors(ds, 5)
+        for table in (query_all_training(forest, 5), query_batch(forest, ds.points[:7], 5), truth):
+            assert isinstance(table, NeighborTable) and table.ids.dtype == np.intp and table.indptr[0] == 0
+            assert np.all(np.diff(table.indptr) <= 5)
+        # each k's oracle rows are the widest rows' prefixes
+        for k in (1, 3, 5):
+            narrow, prefix = all_true_neighbors(ds, k), truth.prefix(k)
+            for a in ("indptr", "ids", "distances"):
+                np.testing.assert_array_equal(getattr(narrow, a), getattr(prefix, a))
 
 
 @st.composite

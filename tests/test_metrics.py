@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from rpforest.forest import NeighborList
+from rpforest.core import Dataset
+from rpforest.forest import NeighborList, NeighborTable, build_forest, query_all_training
+from rpforest.oracle import all_true_neighbors
+from rpforest.tree import TreeConfig
 from rpforest.metrics import distance_error, missing_rate
 
 
@@ -125,3 +128,34 @@ class TestBadTables:
     def test_integer_k_of_any_type(self, metric):
         truth = [row([0, 1], [0.5, 1.0])]
         assert metric(truth, truth, np.int64(2))[0] == 0.0
+
+
+class TestTables:
+    """The metrics read a NeighborTable's arrays directly and a list of rows
+    by concatenating them: both give the same floats."""
+
+    def test_table_and_its_row_list_score_the_same(self):
+        data = Dataset(np.random.default_rng(80).normal(size=(400, 3)))
+        truth = all_true_neighbors(data, 6)
+        for n_trees, capacity in ((1, 8), (4, 20)):
+            found = query_all_training(build_forest(data, TreeConfig(leaf_capacity=capacity), n_trees, 81), 6)
+            if n_trees == 1:  # leaves of at most 7 points: short found rows are scored too
+                assert np.diff(found.indptr).min() < 6
+            for k in (1, 6):
+                t, f = truth.prefix(k), found.prefix(k)
+                for score in (missing_rate, distance_error):
+                    by_table = score(t, f, k)
+                    for pair in ((list(t), list(f)), (list(t), f), (t, list(f))):
+                        by_rows = score(*pair, k)
+                        assert by_rows[0] == by_table[0]
+                        np.testing.assert_array_equal(by_rows[1], by_table[1])
+
+    def test_table_checks_match_row_checks(self):
+        truth = NeighborTable(np.array([0, 2, 3]), np.array([0, 1, 2]), np.array([1.0, 2.0, 1.0]))
+        with pytest.raises(ValueError, match="truth row 1 has 1 entries, expected k=2"):
+            missing_rate(truth, truth, 2)
+        with pytest.raises(ValueError, match="truth row 1 has 1 entries, expected k=2"):
+            missing_rate(list(truth), truth, 2)
+        negative = NeighborTable(np.array([0, 1]), np.array([-1]), np.array([1.0]))
+        with pytest.raises(ValueError, match="found ids must be non-negative, got -1"):
+            distance_error([row([0])], negative, 1)

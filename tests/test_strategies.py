@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from rpforest.core import Level, dispersion
+from rpforest.core import Level, dispersion, random_unit_direction, random_unit_directions
 from rpforest.strategies import Method, StrategyConfig, choose_directions
 
 METHOD1 = StrategyConfig(method=Method.RANDOM_DIRECTION)
@@ -19,6 +19,70 @@ def anisotropic_points(rng, n=60, sx=10.0, sy=1.0):
 def one_node(pts):
     """A level of one node holding every row of pts."""
     return Level(pts, np.array([len(pts)]))
+
+
+class ZeroFirst:
+    """A generator whose first `zeros` normals are 0, then those of
+    default_rng(seed); the zeros still take their place in the stream, so it
+    gives the same normals however its draws are cut."""
+
+    def __init__(self, seed, zeros):
+        self.rng, self.zeros, self.calls = np.random.default_rng(seed), zeros, 0
+
+    def standard_normal(self, shape):
+        v = self.rng.standard_normal(shape)
+        n = min(self.zeros, v.size)
+        v.reshape(-1)[:n] = 0.0
+        self.zeros, self.calls = self.zeros - n, self.calls + 1
+        return v
+
+
+def per_generator(d, rng, size):
+    """One generator's directions as drawn before draws were stacked: one
+    bulk draw, redrawn until no norm is <= 1e-12, then normalized."""
+    v = rng.standard_normal((*size, d))
+    norm = np.linalg.norm(v, axis=-1)
+    while (short := norm <= 1e-12).any():
+        v[short] = rng.standard_normal((int(short.sum()), d))
+        norm[short] = np.linalg.norm(v[short], axis=-1)
+    return v / norm[..., None]
+
+
+class TestStackedDraws:
+    """random_unit_directions draws from each generator what its own
+    per-generator draw would, redraws included, and leaves every stream where
+    that draw leaves it."""
+
+    @staticmethod
+    def generators(d, size):
+        # stubs in the middle and last: a redraw must come from its own stream.
+        # The middle stub's 2 nodes draw zeros only, and so does its first
+        # redrawn row, which is drawn a third time; the last stub's first row is 0
+        middle = ZeroFirst(51, (2 * int(np.prod(size)) + 1) * d)
+        return [np.random.default_rng(50), middle, np.random.default_rng(52), np.random.default_rng(53), ZeroFirst(54, d)]
+
+    @pytest.mark.parametrize("d", [1, 2, 64])
+    @pytest.mark.parametrize("size", [(), (3,)], ids=["(c,)", "(c, n_try)"])
+    def test_stacked_draw_equals_per_generator_draws(self, d, size):
+        counts = [2, 2, 0, 3, 1]  # a generator of no nodes draws nothing
+        stacked, alone, reference = (self.generators(d, size) for _ in range(3))
+        got = random_unit_directions(d, stacked, counts, size)
+        one = np.concatenate([random_unit_direction(d, g, (c, *size)) for g, c in zip(alone, counts) if c])
+        ref = np.concatenate([per_generator(d, g, (c, *size)) for g, c in zip(reference, counts) if c])
+        assert got.shape == (sum(counts), *size, d)
+        assert got.tobytes() == one.tobytes() == ref.tobytes()  # bit for bit
+        assert stacked[1].calls == 3 and stacked[4].calls == 2  # the redraw path ran, and ran again
+        for a, b, c in zip(stacked, alone, reference):  # every stream is left in the same place
+            assert a.standard_normal(4).tobytes() == b.standard_normal(4).tobytes() == c.standard_normal(4).tobytes()
+
+    def test_method1_draws_every_node_of_a_level_from_its_tree(self):
+        pts = np.random.default_rng(60).normal(size=(12, 2))
+        level = Level(pts, np.array([3, 2, 4, 3]))
+        counts = [1, 0, 3]
+        r, _ = choose_directions(level, METHOD1, [np.random.default_rng(s) for s in (61, 62, 63)], counts)
+        alone = [np.random.default_rng(s) for s in (61, 62, 63)]
+        expected = np.concatenate([per_generator(2, g, (c,)) for g, c in zip(alone, counts) if c])
+        assert r.tobytes() == expected.tobytes()
 
 
 class TestStrategyConfig:
