@@ -153,6 +153,9 @@ def run_experiment_grid(data: Dataset, cfg: ExperimentConfig) -> list[dict]:
         span = np.ptp(data.points, axis=0)
         if not np.isfinite(span @ span):
             raise ConfigError("squared distances of the data overflow float64; rescale the data")
+        # n * max L1 norm bounds every projection onto a unit direction and every node's sum of them
+        if data.n * np.abs(data.points).sum(axis=1).max() >= np.finfo(np.float64).max / 2:
+            raise ConfigError("projections of the data overflow float64; rescale the data")
     reps = cfg.effective_repetitions(data.n)
     # rows sorted by (distance, id): each smaller k's rows are prefixes
     widest = all_true_neighbors(data, max(cfg.k_values))
@@ -246,7 +249,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
                 raise ConfigError(f"{pre.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file must hold a JSON object, got {type(file_cfg).__name__}")
-        actions = {action.dest: action for action in parser._actions}
+        # --config and --help are not config values: a file naming them is refused
+        actions = {action.dest: action for action in parser._actions if action.dest not in ("config", "help")}
         unknown = set(file_cfg) - set(actions)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")

@@ -74,15 +74,16 @@ def choose_directions(level: Level, cfg: StrategyConfig, rngs, counts):
         return principal_components(level), np.empty((m, 0))
 
     # greedy over candidates in draw order: a candidate replaces the incumbent
-    # only when it strictly improves dispersion, so ties go to the earliest
-    best, best_disp = np.empty((m, d)), np.full(m, -1.0)
+    # only when it strictly improves dispersion, so ties go to the earliest; a
+    # node whose every dispersion is NaN (projections overflow) keeps the first
+    candidates = random_unit_directions(d, rngs, counts, (cfg.n_try,))
+    best, best_disp = candidates[:, 0].copy(), np.full(m, -1.0)
 
     def consider(cand, valid=True):
         disp = dispersion(level.project(cand), level.seg, level.sizes)
         better = valid & (disp > best_disp)
         best[better], best_disp[better] = cand[better], disp[better]
 
-    candidates = random_unit_directions(d, rngs, counts, (cfg.n_try,))
     for j in range(cfg.n_try):
         consider(candidates[:, j])
     stages = [best_disp.copy()]

@@ -1,11 +1,17 @@
 import itertools
 import json
+import os
 import pathlib
+import subprocess
+import sys
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import rpforest.cli
+import rpforest.core
 from rpforest.cli import (
     ConfigError,
     ExperimentConfig,
@@ -91,20 +97,6 @@ class TestExperimentGrid:
         )
         rows = run_experiment_grid(small_data, cfg)
         assert len(rows) == 4 * 6 * 1 * 10
-
-    def test_deterministic_given_seed(self, small_data, tmp_path):
-        cfg = ExperimentConfig(
-            methods=(1, 2),
-            forest_sizes=(1, 3),
-            k_values=(4,),
-            repetitions=3,
-            master_seed=77,
-            include_timings=False,
-        )
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_results_csv(run_experiment_grid(small_data, cfg), p1)
-        write_results_csv(run_experiment_grid(small_data, cfg), p2)
-        assert p1.read_bytes() == p2.read_bytes()
 
     def test_one_oracle_call_for_all_k(self, small_data, monkeypatch):
         calls = []
@@ -341,6 +333,90 @@ class TestMain:
         assert "40,3,2,-inf,0" in capsys.readouterr().out.splitlines()
 
 
+class Run(NamedTuple):
+    """One rpforest-bench run writing a --no-timings CSV: its flags, the files
+    it reads (name -> text), and core.WORKERS for an in-process run (None: as
+    it is) or OPENBLAS_NUM_THREADS for a `python -m rpforest.cli` child."""
+
+    args: list
+    files: dict = {}
+    workers: int | None = None
+    blas_threads: int | None = None
+
+
+def csv_text(rows) -> str:
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+GRID = ["--methods", "1", "2", "3", "4", "--trees", "1", "5", "--k", "5", "--reps", "2", "--seed", "3", "--no-timings"]
+BLOBS_SPEC = "blobs:n=200,d=2,centers=3,sigma=0.8,seed=1"
+BLOBS_GRID = Run(["--dataset", BLOBS_SPEC, *GRID])
+CONFIG = {"dataset": BLOBS_SPEC, "methods": [1, 2, 3, 4], "trees": [1, 5], "k": [5], "reps": 2, "seed": 3, "no_timings": True}
+HEADED = [["a", "b", "c", "label"]] + [
+    [*map(repr, p), str(i % 3)] for i, p in enumerate(np.random.default_rng(1).normal(size=(80, 3)).tolist())
+]
+HEADED_GRID = Run(
+    ["--dataset", "headed.csv", "--csv-header", "--label-column", "3", "--standardize", *GRID], {"headed.csv": csv_text(HEADED)}
+)
+READ = np.random.default_rng(2).normal(scale=1e6, size=(120, 3))  # >= 4 integer digits: underscores appear
+LABELLED = np.random.default_rng(5).normal(size=(80, 3)).tolist()
+TIED = np.tile(np.random.default_rng(4).integers(0, 6, size=(60, 2)), (3, 1))  # every point three times
+TIED_GRID = Run(["--dataset", "tied.csv", *GRID], {"tied.csv": csv_text(TIED.astype(str))})
+D64 = ["--dataset", "blobs:n=300,d=64,centers=4", "--methods", "1", "2", "--trees", "1", "5", "--reps", "2", "--no-timings"]
+
+
+def reader_run(fmt: str) -> Run:
+    name = f"points{fmt}.csv"
+    return Run(["--dataset", name, *GRID], {name: csv_text([format(x, fmt) for x in row] for row in READ)})
+
+
+def label_run(label: str) -> Run:
+    name = f"label_{label}.csv"
+    return Run(["--dataset", name, "--label-column", "3", *GRID], {name: csv_text([*map(repr, p), label] for p in LABELLED)})
+
+
+class TestRerunContract:
+    """The behaviour contract: runs that differ only in how they reach the
+    same points and grid write the same --no-timings CSV bytes."""
+
+    ROWS = [
+        pytest.param(BLOBS_GRID, BLOBS_GRID, id="rerun"),
+        pytest.param(BLOBS_GRID, BLOBS_GRID._replace(workers=1), id="one-worker"),  # as under taskset -c 0
+        pytest.param(BLOBS_GRID, Run(["--config", "args.json"], {"args.json": json.dumps(CONFIG)}), id="config-file"),
+        pytest.param(*[HEADED_GRID] * 2, id="csv-header-label-standardize"),
+        pytest.param(*[Run(["--dataset", "rings:n=200,radii=1|3,noise=0.1,seed=2", *GRID])] * 2, id="rings"),
+        # digit-group underscores only the line reader reads, plain digits numpy's C reader reads
+        pytest.param(reader_run("_.6f"), reader_run(".6f"), id="line-reader-vs-c-reader"),
+        pytest.param(label_run("nan"), label_run("0"), id="nan-labels"),
+        pytest.param(TIED_GRID, TIED_GRID._replace(workers=1), id="tied-one-worker"),
+        # the oracle's filter is a BLAS product with real work at d = 64
+        pytest.param(Run(D64, blas_threads=1), Run(D64, blas_threads=2), id="blas-threads"),
+    ]
+
+    @staticmethod
+    def written(run: Run, out: str) -> bytes:
+        for name, text in run.files.items():
+            pathlib.Path(name).write_text(text)
+        argv = [*run.args, "--out", out]
+        if run.blas_threads is None:
+            with mock.patch.object(rpforest.core, "WORKERS", run.workers or rpforest.core.WORKERS):
+                assert main(argv) == 0
+        else:  # a child, as BLAS reads its thread count at load; filterwarnings cannot see its warnings
+            src = str(pathlib.Path(rpforest.cli.__file__).parents[1])
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(run.blas_threads)}
+            child = subprocess.run([sys.executable, "-m", "rpforest.cli", *argv], env=env, capture_output=True, text=True)
+            assert child.returncode == 0 and child.stderr == "", child.stderr
+        return pathlib.Path(out).read_bytes()
+
+    @pytest.mark.parametrize("a, b", ROWS)
+    def test_same_bytes(self, tmp_path, monkeypatch, a, b):
+        monkeypatch.chdir(tmp_path)
+        if a.files and b.files and a.files.keys() != b.files.keys():  # else the row is a plain rerun
+            assert list(a.files.values()) != list(b.files.values())
+        assert self.written(a, "a.csv") == self.written(b, "b.csv")
+
+
 class TestFailFast:
     BLOBS = "blobs:n=10,d=2,centers=2,sigma=0.5,seed=1"
 
@@ -362,6 +438,8 @@ class TestFailFast:
         (None, ["--dataset", BLOBS, "--config", {"noise_sigmas": ["a"]}], 1, "config key 'noise_sigmas'"),
         (None, ["--dataset", BLOBS, "--config", 5], 1, "config file must hold a JSON object"),
         (None, ["--dataset", BLOBS, "--config", {"leaf_capacity": "20"}], 1, "config key 'leaf_capacity' must be int"),
+        (None, ["--dataset", BLOBS, "--config", {"config": "other.json"}], 1, "unknown config keys: ['config']"),
+        (None, ["--dataset", BLOBS, "--config", {"help": True}], 1, "unknown config keys: ['help']"),
         (None, ["--dataset", "blobs:n=50,sigm=0.1"], 1, "unknown key 'sigm'"),
         (None, ["--dataset", "rings:n=40,radius=2"], 1, "unknown key 'radius'"),
         (None, ["--dataset", BLOBS, "--out", "."], 2, "output path is a directory"),
@@ -369,6 +447,8 @@ class TestFailFast:
         ("1e160,1\n-1e160,2\n0,3\n5,4\n6,5\n", [], 1, "squared distances of the data overflow"),
         ("5,1\n", ["--standardize"], 1, "standardizing needs at least 2 data rows"),
         ("1e160,1\n-1e160,2\n0,3\n5,4\n6,5\n", ["--standardize"], 1, "standardizing column 0 overflows"),
+        # a span of 119, but projections near 3.4e308: every tree would be one forced leaf
+        ("".join(f"1.7e308,1.7e308,{v}\n" for v in range(120)), [], 1, "projections of the data overflow"),
         (None, ["--dataset", BLOBS, "--seed", "-1"], 1, "--seed must be an integer in [0, inf], got -1"),
         (None, ["--dataset", BLOBS, "--methods", "1", "1"], 1, "--methods must not repeat a value"),
         (None, ["--dataset", BLOBS, "--trees", "5", "5"], 1, "--trees must not repeat a value"),

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from rpforest.core import Level, dispersion, random_unit_direction, random_unit_directions
+from rpforest.core import Dataset, Level, dispersion, random_unit_direction, random_unit_directions
+from rpforest.forest import build_forest
 from rpforest.strategies import Method, StrategyConfig, choose_directions
+from rpforest.tree import TreeConfig
 
 METHOD1 = StrategyConfig(method=Method.RANDOM_DIRECTION)
 METHOD4 = StrategyConfig(method=Method.PRINCIPAL_COMPONENT)
@@ -209,6 +211,22 @@ class TestMethod3:
         cfg = StrategyConfig(method=Method.NOISE_TUNED_DISPERSION)
         r, _ = choose_directions(one_node(pts), cfg, [np.random.default_rng(33)], [1])
         assert np.linalg.norm(r[0]) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the projections overflow
+    def test_all_nan_dispersions_give_one_forest(self, monkeypatch):
+        # near 1.7e308 the candidates' dispersions are NaN: a node's direction
+        # must not come from memory np.empty leaves unset, filled here with 3 or 5
+        data = Dataset(1.7e308 + 1e292 * np.random.default_rng(0).normal(size=(200, 2)))
+        cfg = TreeConfig(strategy=StrategyConfig(method=Method.NOISE_TUNED_DISPERSION))
+        forests = []
+        for fill in (3, 5):
+            monkeypatch.setattr(np, "empty", lambda shape, dtype=float, **kw: np.full(shape, fill, dtype))
+            forests.append(build_forest(data, cfg, 4, 5))
+        monkeypatch.undo()
+        forests.append(build_forest(data, cfg, 4, 5))
+        for forest in forests[1:]:
+            np.testing.assert_array_equal(forest.directions, forests[0].directions)
+            np.testing.assert_array_equal(forest.splits, forests[0].splits)
 
 
 class TestMethod4:
