@@ -21,7 +21,7 @@ from .forest import build_forest, query_all_training
 from .metrics import distance_error, missing_rate
 from .oracle import all_true_neighbors
 from .stats import two_sample_ttest
-from .strategies import StrategyConfig
+from .strategies import Method, StrategyConfig
 from .tree import TreeConfig
 
 RESULT_COLUMNS = (
@@ -156,6 +156,9 @@ def run_experiment_grid(data: Dataset, cfg: ExperimentConfig) -> list[dict]:
         # n * max L1 norm bounds every projection onto a unit direction and every node's sum of them
         if data.n * np.abs(data.points).sum(axis=1).max() >= np.finfo(np.float64).max / 2:
             raise ConfigError("projections of the data overflow float64; rescale the data")
+        # and n * max ptp^2 every sum of a node's centred coordinate products (method 4's covariances)
+        if Method.PRINCIPAL_COMPONENT in cfg.methods and data.n * span.max() ** 2 >= np.finfo(np.float64).max / 2:
+            raise ConfigError("covariances of the data overflow float64 (method 4); rescale the data")
     reps = cfg.effective_repetitions(data.n)
     # rows sorted by (distance, id): each smaller k's rows are prefixes
     widest = all_true_neighbors(data, max(cfg.k_values))

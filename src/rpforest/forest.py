@@ -5,7 +5,9 @@ tree) pair together (training points read their stored leaves), pool each
 query's candidates with one sparse (queries x leaves) . (leaves x points)
 product, and rank: keep each row's k nearest by (distance, id). A lone query
 goes straight from routing to pooling to ranking; a batch is cut into chunks
-that are pooled and ranked in _search, the oracle's driver too.
+that are pooled and ranked in _search, the oracle's driver too. Where it pays,
+a batch's ranking spans first drop the candidates that cannot place, by the
+Gram bound the oracle filters with (_cut).
 """
 
 from collections.abc import Sequence
@@ -24,6 +26,11 @@ from .tree import RpTree, TreeConfig, build_tree, build_trees, route, routing_ta
 # working-set budget of all workers together: their query chunks, and the
 # points their tree groups gather per level
 POOL_BYTES = 16 << 20
+# _rank's rule, measured on a 2-vCPU x86-64 VM with one OpenBLAS thread: a
+# candidate ranked directly costs d words (2.5 ns each), one filtered
+# _FILTER_WORDS words plus its share of the block at _BLAS_RATE multiply-adds a word
+_FILTER_WORDS, _BLAS_RATE = 8, 30
+_EPS, _TINY, _HUGE = np.finfo(np.float64).eps / 2, np.finfo(np.float64).tiny, np.finfo(np.float64).max / 8
 
 
 @dataclass(eq=False)
@@ -79,7 +86,9 @@ class NeighborTable(Sequence):
 
     @classmethod
     def concat(cls, tables) -> "NeighborTable":
-        """The rows of tables, one after another."""
+        """The rows of tables, one after another; a lone table as it is."""
+        if len(tables) == 1:
+            return tables[0]
         ends = np.cumsum([0] + [t.ids.size for t in tables]).tolist()
         indptr = np.concatenate([[0], *(t.indptr[1:] + e for t, e in zip(tables, ends))])
         ids = np.concatenate([np.empty(0, np.intp), *(t.ids for t in tables)])
@@ -113,6 +122,8 @@ class RpForest:
 
     # the router's table, made on first routed query
     routes = cached_property(lambda f: routing_table(f.directions, f.splits, f.children, f.node_base, f.leaf_base))
+    # the Gram filter's centred points (_centred), made on the first batch query that may filter
+    _gram = cached_property(lambda f: _centred(f.data.points))
 
 
 def build_forest(
@@ -152,14 +163,18 @@ def build_forest(
     return RpForest(cfg, data, master_seed, directions, splits, children, node_base, leaf_base, membership, leaf_of)
 
 
-def _spans(counts: np.ndarray, cap: int):
-    """Consecutive row ranges [lo, hi) holding at most cap entries when padded
-    to their longest row; a row longer than cap gets a range of its own. The
-    rows left are cut evenly into as many ranges as a greedy cut from lo needs."""
+def _spans(counts: np.ndarray, cap: int, held=None):
+    """Consecutive row ranges [lo, hi) holding at most cap: their entries
+    padded to their longest row, or held(rows, widest, total) of each prefix
+    (non-decreasing; counts taken as at least 1). A row holding more than cap
+    gets a range of its own. The rows left are cut evenly into as many ranges
+    as a greedy cut from lo needs."""
     lo = 0
     while lo < counts.size:
-        width = np.maximum.accumulate(np.maximum(counts[lo : lo + cap], 1))
-        most = max(1, int(np.searchsorted(width * np.arange(1, width.size + 1), cap, side="right")))
+        c = np.maximum(counts[lo : lo + cap], 1)
+        rows, widest = np.arange(1, c.size + 1), np.maximum.accumulate(c)
+        size = rows * widest if held is None else held(rows, widest, np.cumsum(c))
+        most = max(1, int(np.searchsorted(size, cap, side="right")))
         rest = counts.size - lo
         hi = lo + -(-rest // -(-rest // most))
         yield lo, hi
@@ -184,12 +199,78 @@ def _pool(forest: RpForest, leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return out[:2]
 
 
-def _rank(points, queries, indptr, indices, k: int, self_ids) -> NeighborTable:
+def _centred(points) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram filter's point side: the points' mean, and the [-2 y, |y|^2]
+    rows of the points y less it (see _cut)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow keep every candidate (_cut)
+        centre = points.mean(axis=0)
+        y = points - centre
+        return centre, np.column_stack([-2.0 * y, np.einsum("ij,ij->i", y, y)])
+
+
+def _cut(kth, x2, y2_max, d: int) -> np.ndarray:
+    """Each row's cut-off for the Gram filter: a candidate whose
+    h = |y|^2 - 2 x.y, from one product of the centred [x, 1] and
+    [-2 y, |y|^2] rows, is above it (h > cut) is not among the row's k
+    nearest. kth is the row's k-th smallest h, x2 its |x|^2 and y2_max the
+    largest |y|^2 of its candidates. The cut-off is kth + tol, or inf where
+    the bound needs terms that could overflow: nothing is above inf, nan h
+    included, so such a row keeps every candidate.
+
+    Why tol = 20 (d + 3) (u sigma + tiny) keeps every true neighbour. Here
+    u = 2^-53; gamma_m = m u / (1 - m u) bounds a sum of m products in any
+    order (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), so
+    the bound holds for every BLAS kernel and thread count; and sigma =
+    |x|^2 + max_j |y_j|^2 bounds |x|^2 + |y_j|^2 and (|x| + |y_j|)^2 / 2 for
+    every column. Let r_j = |q - p_j|^2 exactly, s_j the kernel's differencing
+    sum and D_j = sqrt(s_j) rounded. Take j among the true k nearest and s the
+    one of the k smallest h with the largest D: D_j <= D_s, since those k
+    columns reach D_s. To first order in u:
+    - sqrt is correctly rounded, so D_j <= D_s, distances equal after sqrt
+      included, gives s_j <= s_s (1 + 4u);
+    - |s - r| <= gamma_{d+2} r and r <= 2 sigma, so r_j - r_s <= (4d + 16) u sigma;
+    - centring rounds each coordinate once, so |x - y|^2 is within 4 u sigma
+      of r, for j and for s: 8 u sigma;
+    - exact h is |x - y|^2 less |x|^2, one constant per row; -2 y and
+      1 |y|^2 are exact, so h is within gamma_d |y|^2 (the norm) plus
+      gamma_{d+1} (2 |x||y| + |y|^2) (d + 1 terms), at most (3d + 2) u sigma,
+      for j and for s: (6d + 4) u sigma.
+    Together h_j <= h_s + (10d + 28) u sigma <= kth + tol / 2; the factor 2
+    covers the higher orders and the rounding of kth + tol. Where results
+    underflow, each of the at most 19d roundings above errs by at most
+    tiny, the smallest normal double (so also where a kernel flushes
+    subnormals to zero). The bound needs every term finite: a row with
+    sigma > max / 8 could overflow in h or in s_s.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = x2 + y2_max
+        return np.where(sigma <= _HUGE, kth + 20 * (d + 3) * (_EPS * sigma + _TINY), np.inf)
+
+
+def _kth(values, row, counts, k: int) -> np.ndarray:
+    """Each row's k-th smallest of the flat values (counts[i] in row i, row
+    after row), from the rows padded with inf to the longest row's width."""
+    grid = np.full((counts.size, max(1, int(counts.max(initial=0)))), np.inf)
+    grid[row, np.arange(values.size) - np.repeat(np.cumsum(counts) - counts, counts)] = values
+    last = min(k, grid.shape[1]) - 1
+    return np.partition(grid, last, axis=1)[:, last]
+
+
+def _rank(points, queries, indptr, indices, k: int, self_ids, gram=None) -> NeighborTable:
     """The k best (distance, id) pairs of each pool row, minus the row's own id
     (self_ids None: none), as a table. A lone row partitions its distances for
     its k-th; 2+ rows padded with inf give each row's k-th by partitioning the
     grid. The flat candidates (in row order) up to it, ties included, get
-    sorted, and each row's first k are kept."""
+    sorted, and each row's first k are kept.
+
+    With gram (_centred(points)), 2+ rows first drop the candidates above
+    their _cut, which cannot place: BLAS products of the rows' centred
+    [x, 1] and the [-2 y, |y|^2] rows of their candidates' union U (a mask
+    over the points), in row blocks of at most a quarter of a worker's share
+    of POOL_BYTES, give each h, and a padded grid each row's k-th. The
+    rule: filter unless the block's m |U| (d + 1) multiply-adds cost at least
+    the words it saves, less a pass over the n points; else rank directly, in
+    spans of the direct width."""
     m, ids = queries.shape[0], indices[indptr[0] : indptr[-1]]
     if m == 1:
         if self_ids is not None:
@@ -202,18 +283,42 @@ def _rank(points, queries, indptr, indices, k: int, self_ids) -> NeighborTable:
             ids, dists = ids[pick], dists[pick]
         order = np.lexsort((ids, dists))[:k]
         return NeighborTable(np.array([0, order.size]), ids[order].astype(np.intp), dists[order])
+    if gram is not None:  # the rule
+        (n, d), mask = points.shape, None
+        saved = (d - _FILTER_WORDS) * ids.size - n  # words saved, less the mask's pass over the points
+        if saved > 0:
+            mask = np.zeros(n, bool)
+            mask[ids] = True
+            union = np.flatnonzero(mask)
+        if mask is None or m * union.size * (d + 1) >= saved * _BLAS_RATE:
+            return NeighborTable.concat([
+                _rank(points, queries[a:b], indptr[a : b + 1], indices, k, None if self_ids is None else self_ids[a:b])
+                for a, b in _direct_spans(np.diff(indptr), d)])
     row = np.repeat(np.arange(m), np.diff(indptr))
     if self_ids is not None:
         keep = ids != self_ids[row]
         ids, row = ids[keep], row[keep]
-    counts = np.bincount(row, minlength=m)
+    counts = ranked = np.bincount(row, minlength=m)
+    if gram is not None:  # U holds the self ids too: their columns go unread
+        centre, ya = gram
+        slot = np.empty(n, np.intp)
+        slot[union] = np.arange(union.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = queries - centre
+            xa, yu = np.column_stack([x, np.ones(m)]), ya.take(union, axis=0)
+            h, ends = np.empty(ids.size), np.concatenate([[0], np.cumsum(counts)])
+            step = max(1, POOL_BYTES // core.WORKERS // (32 * max(1, union.size)))  # blocks of a quarter of the share
+            for a in range(0, m, step):
+                lo, hi = ends[a], ends[min(a + step, m)]
+                h[lo:hi] = (xa[a : a + step] @ yu.T)[row[lo:hi] - a, slot[ids[lo:hi]]]
+            cut = _cut(_kth(h, row, counts, k), np.einsum("ij,ij->i", x, x), yu[:, -1].max(initial=0), d)
+        keep = ~(h > cut[row])
+        ids, row = ids[keep], row[keep]
+        ranked = np.bincount(row, minlength=m)  # at least min(k, counts) a row
     diffs = points.take(ids, axis=0)
     diffs -= queries.take(row, axis=0)
     dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    grid = np.full((m, max(1, int(counts.max(initial=0)))), np.inf)  # rows padded to the longest
-    grid[row, np.arange(ids.size) - np.repeat(np.cumsum(counts) - counts, counts)] = dists
-    last = min(k, grid.shape[1]) - 1
-    pick = dists <= np.partition(grid, last, axis=1)[row, last]  # up to each k-th distance
+    pick = dists <= _kth(dists, row, ranked, k)[row]  # up to each k-th distance
     row, ids, dists = row[pick], ids[pick], dists[pick]
     picked = np.bincount(row, minlength=m)
     order = np.lexsort((ids, dists, row))  # row after row: drop each row's entries past its k-th
@@ -222,21 +327,37 @@ def _rank(points, queries, indptr, indices, k: int, self_ids) -> NeighborTable:
     return NeighborTable(indptr, ids[order].astype(np.intp), dists[order])
 
 
-def _search(points, queries, self_ids, k: int, widths, pool) -> NeighborTable:
+def _direct_spans(counts: np.ndarray, d: int):
+    """_spans of rows ranked directly: 3 d + 6 words a padded candidate in a worker's share of POOL_BYTES."""
+    return _spans(counts, POOL_BYTES // core.WORKERS // (8 * (3 * d + 6)))
+
+
+def _search(points, queries, self_ids, k: int, widths, pool, gram=None) -> NeighborTable:
     """The one path from queries to ranked rows, for the forest and the oracle:
     chunks of queries whose widths (bytes held per query while pooled) fit
     POOL_BYTES over all workers run on parallel_map's threads, and the CSR
-    (indptr, indices) pools that pool(lo, hi) gives are ranked in spans."""
+    (indptr, indices) pools that pool(lo, hi) gives are ranked in spans of the
+    same share (_direct_spans). With gram (see _rank) a span is sized by what
+    the filter holds: 8 words a padded candidate, its rows x |U| block (at
+    most a quarter of the share), U's d + 1 words a point (|U| at most n and
+    the candidates), a mask and slot over the points, and k survivors a row
+    ranked directly (ties add more)."""
     budget = POOL_BYTES // core.WORKERS
+    n, d = points.shape
+
+    def held(rows, widest, total) -> np.ndarray:
+        union = np.minimum(n, total)
+        block = np.minimum(8 * rows * union, budget // 4)
+        return block + 8 * (8 * rows * widest + (d + 1) * union + 2 * n + (3 * d + 6) * rows * np.minimum(k, widest))
 
     def task(chunk) -> list[NeighborTable]:
         lo, hi = chunk
         indptr, indices = pool(lo, hi)
         tables = []
-        for a, b in _spans(np.diff(indptr), budget // (8 * (3 * points.shape[1] + 6))):
+        for a, b in _direct_spans(np.diff(indptr), d) if gram is None else _spans(np.diff(indptr), budget, held):
             span = slice(lo + a, lo + b)
             own = None if self_ids is None else self_ids[span]
-            tables.append(_rank(points, queries[span], indptr[a : b + 1], indices, k, own))
+            tables.append(_rank(points, queries[span], indptr[a : b + 1], indices, k, own, gram))
         return tables
 
     return NeighborTable.concat([t for part in core.parallel_map(task, _spans(widths, budget)) for t in part])
@@ -262,7 +383,9 @@ def _kernel(forest: RpForest, queries, k: int, self_ids=None, leaves=None) -> Ne
     leaves, queries = leaves[order], queries[order]
     self_ids = None if self_ids is None else self_ids[order]
     merged = (forest.membership.indptr[leaves + 1] - forest.membership.indptr[leaves]).sum(axis=1)
-    rows = _search(forest.data.points, queries, self_ids, k, 8 * merged, lambda lo, hi: _pool(forest, leaves[lo:hi]))
+    # at d <= _FILTER_WORDS _rank's rule never filters: no centring, and spans of the direct width
+    gram = forest._gram if forest.data.d > _FILTER_WORDS else None
+    rows = _search(forest.data.points, queries, self_ids, k, 8 * merged, lambda lo, hi: _pool(forest, leaves[lo:hi]), gram)
     return rows[np.argsort(order)]
 
 
@@ -277,8 +400,9 @@ def query_knn(forest: RpForest, x, k: int, self_id: int | None = None) -> Neighb
 
 def query_all_training(forest: RpForest, k: int) -> NeighborTable:
     """query_knn for every dataset point with self-exclusion; each point's
-    leaves are read off the stored leaf_of instead of being routed."""
-    leaves = forest.leaf_of.T + forest.leaf_base[:-1]
+    leaves are read off the stored leaf_of instead of being routed, as int32
+    where the forest's leaf count fits."""
+    leaves = forest.leaf_of.T + forest.leaf_base[:-1].astype(np.int32 if forest.leaf_base[-1] < 2**31 else np.intp)
     return _kernel(forest, forest.data.points, k, forest.data.ids, leaves)
 
 

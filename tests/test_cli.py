@@ -449,6 +449,9 @@ class TestFailFast:
         ("1e160,1\n-1e160,2\n0,3\n5,4\n6,5\n", ["--standardize"], 1, "standardizing column 0 overflows"),
         # a span of 119, but projections near 3.4e308: every tree would be one forced leaf
         ("".join(f"1.7e308,1.7e308,{v}\n" for v in range(120)), [], 1, "projections of the data overflow"),
+        # spans near 6e153 pass both checks above, but method 4's covariance sums of 200 squares overflow
+        ("".join(f"{a!r},{b!r}\n" for a, b in (1e153 * np.random.default_rng(0).normal(size=(200, 2))).tolist()), [], 1,
+         "covariances of the data overflow float64 (method 4)"),
         (None, ["--dataset", BLOBS, "--seed", "-1"], 1, "--seed must be an integer in [0, inf], got -1"),
         (None, ["--dataset", BLOBS, "--methods", "1", "1"], 1, "--methods must not repeat a value"),
         (None, ["--dataset", BLOBS, "--trees", "5", "5"], 1, "--trees must not repeat a value"),

@@ -14,6 +14,7 @@ from rpforest.data import gen_gaussian_blobs
 from rpforest.forest import (
     NeighborList,
     NeighborTable,
+    _centred,
     _rank,
     _spans,
     build_forest,
@@ -24,6 +25,7 @@ from rpforest.forest import (
 from rpforest.oracle import all_true_neighbors, exact_knn
 from rpforest.strategies import StrategyConfig
 from rpforest.tree import TreeConfig
+from test_oracle import KINDS, kind_points
 
 
 def random_dataset(seed, n=300, d=2):
@@ -408,6 +410,86 @@ class TestRank:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@st.composite
+def filter_calls(draw):
+    """A _rank call of 2+ rows on points of one of test_oracle's kinds (grid
+    ties, duplicates, 1e6 offsets, 1e200 and 1e-170 scales, ...) or on a line
+    of points up to 9e153 from 0, whose distances and Gram terms may overflow
+    while the filter's sigma does not, and k. The rows are points with their
+    self ids, points without, or other points of the kind; each pool is every
+    point in a drawn order, some points, ids twice over, one id or none. k is
+    1 up to one beyond the longest pool, or huge."""
+    n, d, m = draw(st.integers(1, 40)), draw(st.sampled_from([1, 2, 3, 7, 16])), draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(KINDS + ["near-max"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "near-max":
+        points = np.zeros((n + m, d))
+        points[:, 0] = 9e153 * rng.uniform(-1, 1, size=n + m)
+    else:
+        points = kind_points(kind, rng, (n + m, d))
+    rows = rng.integers(0, n, size=m)
+    queries = points[rows] if draw(st.booleans()) else points[n:]
+    self_ids = rows if draw(st.booleans()) else None
+    pools = []
+    for _ in range(m):
+        pool = draw(st.sampled_from(["every", "some", "twice", "one", "none"]))
+        ids = rng.permutation(n) if pool != "some" else rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        pools.append({"every": ids, "some": ids, "twice": np.concatenate([ids, ids]), "one": ids[:1], "none": ids[:0]}[pool])
+    indptr = np.cumsum([0] + [p.size for p in pools])
+    indices = np.concatenate(pools).astype(draw(st.sampled_from([np.int32, np.intp])))
+    k = draw(st.one_of(st.integers(1, int(np.diff(indptr).max()) + 1), st.just(10**12)))
+    return points[:n], np.ascontiguousarray(queries), indptr, indices, self_ids, k
+
+
+# ids 2 and 6 are both at an overflowing distance from point 0, and the
+# sixth nearest is id 2, whose h overflows too: only the overflow rule keeps it
+NEAR_MAX = np.array([-8.51061019873184e153, -4.678566370855442e153, 8.544403018508252e153, -7.541432639475831e153,
+                     -6.449383907177511e153, 1.3153907010189592e153, 4.9314982561401646e153])[:, None]
+
+
+class TestGramFilter:
+    """_rank's Gram filter drops only candidates that cannot place: filtered
+    and direct ranking give the same bytes."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(filter_calls())
+    @example(call=(NEAR_MAX, NEAR_MAX[[3, 0]], np.array([0, 7, 14]), np.tile(np.arange(7), 2), None, 6))
+    def test_filtered_rank_equals_direct_rank(self, call):
+        points, queries, indptr, indices, self_ids, k = call
+        direct = _rank(points, queries, indptr, indices, k, self_ids)
+        tables = []
+        # the rule filters whatever has candidates (_cut must run), in one block or a block a row
+        for budget in (rpforest.forest.POOL_BYTES, 1):
+            with mock.patch.object(rpforest.forest, "_FILTER_WORDS", -1e9), \
+                    mock.patch.object(rpforest.forest, "POOL_BYTES", budget), \
+                    mock.patch.object(rpforest.forest, "_cut", wraps=rpforest.forest._cut) as cut:
+                tables.append(_rank(points, queries, indptr, indices, k, self_ids, _centred(points)))
+            assert cut.called == (indptr[-1] > indptr[0])
+        # the rule never filters: the rows are ranked directly, here one span a row
+        with mock.patch.object(rpforest.forest, "_FILTER_WORDS", 1e9), mock.patch.object(rpforest.forest, "POOL_BYTES", 1):
+            tables.append(_rank(points, queries, indptr, indices, k, self_ids, _centred(points)))
+        for table in tables:
+            for a in ("indptr", "ids", "distances"):
+                x, y = getattr(table, a), getattr(direct, a)
+                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("d, n_trees", [(12, 1), (12, 20), (64, 5)])
+    def test_query_paths_equal_direct_ranking(self, d, n_trees):
+        """Through the kernel, spans and workers: with the rule (filtering or
+        falling back, d > _FILTER_WORDS) and with it never filtering."""
+        data = random_dataset(30, n=400, d=d)
+        forest = build_forest(data, TreeConfig(), n_trees, master_seed=31)
+        queries = np.random.default_rng(32).normal(size=(50, d))
+        outputs = []
+        for words in (rpforest.forest._FILTER_WORDS, np.inf):
+            with mock.patch.object(rpforest.forest, "_FILTER_WORDS", words):
+                outputs.append([query_all_training(forest, 5), query_batch(forest, queries, 7, self_ids=np.arange(50))])
+        for a, b in zip(*outputs):
+            for name in ("indptr", "ids", "distances"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+                assert getattr(a, name).dtype == getattr(b, name).dtype
+
+
 class TestWorkers:
     """Results do not depend on how many threads parallel_map runs on."""
 
@@ -493,6 +575,26 @@ class TestWorkingSet:
             finally:
                 tracemalloc.stop()
         assert peak < 3 * budget  # the rows returned take about 0.8 MB of it
+
+    def test_peak_follows_pool_bytes_where_ranking_filters(self):
+        """At d = 64 query_all_training ranks in spans sized for the Gram filter."""
+        data = random_dataset(22, n=2000, d=64)
+        forest = build_forest(data, TreeConfig(), 50, master_seed=23)
+        budget, cut, calls = 2 << 20, rpforest.forest._cut, []
+
+        def counted(*args):  # a Mock would keep every argument alive
+            calls.append(None)
+            return cut(*args)
+
+        with mock.patch.object(rpforest.forest, "POOL_BYTES", budget), mock.patch.object(rpforest.forest, "_cut", counted):
+            tracemalloc.start()
+            try:
+                query_all_training(forest, 5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert calls
+        assert peak < 3 * budget  # the centred points take 1 MB of it
 
 
 class TestSpans:
