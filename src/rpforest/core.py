@@ -21,6 +21,8 @@ class Dataset:
     points: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.points):  # a cast to float64 would drop the imaginary part
+            raise ValueError("points must be real, got complex values")
         pts = np.array(self.points, dtype=np.float64, order="C")
         if pts.ndim != 2:
             raise ValueError(f"points must be a 2-d matrix, got ndim={pts.ndim}")
@@ -38,7 +40,9 @@ class Dataset:
 
 
 def check_queries(queries, d: int) -> np.ndarray:
-    """Queries as an (m, d) float64 matrix of finite values, else ValueError."""
+    """Queries as an (m, d) float64 matrix of finite real values, else ValueError."""
+    if np.iscomplexobj(queries):
+        raise ValueError("queries must be real, got complex values")
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != d:
         raise ValueError(f"dimension mismatch: queries have shape {q.shape}, data has d={d}")

@@ -10,6 +10,7 @@ a batch's ranking spans first drop the candidates that cannot place, by the
 Gram bound the oracle filters with (_cut).
 """
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -247,27 +248,56 @@ def _cut(kth, x2, y2_max, d: int) -> np.ndarray:
         return np.where(sigma <= _HUGE, kth + 20 * (d + 3) * (_EPS * sigma + _TINY), np.inf)
 
 
+def _groups(k: int, width: int) -> int:
+    """_bound's group count: the smallest prime at least max(61, 8 k), or the
+    width (exact) where groups would hold under 4 columns and save less than
+    they cost. A count sharing a factor with a period of the ids would put one
+    cluster in each group."""
+    if 32 * k > width:
+        return width
+    b = max(61, 8 * k)
+    while any(b % p == 0 for p in range(2, math.isqrt(b) + 1)):
+        b += 1
+    return b if 4 * b <= width else width
+
+
+def _bound(grid, k: int) -> np.ndarray:
+    """A bound at or above each grid row's k-th smallest (nan last, as in
+    np.partition): the k-th smallest minimum of b = _groups(k, width) strided
+    column groups, column j in group j mod b. Those k minima are k distinct
+    entries at or below it; a group holding nan has a nan minimum."""
+    m, width = grid.shape
+    b, last = _groups(k, width), min(k, width) - 1
+    if b == width:
+        return np.partition(grid, last, axis=1)[:, last]
+    whole = width - width % b
+    mins = grid[:, :whole].reshape(m, whole // b, b).min(axis=1)  # a view of the rows: no copy
+    np.minimum(mins[:, : width - whole], grid[:, whole:], out=mins[:, : width - whole])
+    mins.partition(last, axis=1)
+    return mins[:, last]
+
+
 def _kth(values, row, counts, k: int) -> np.ndarray:
-    """Each row's k-th smallest of the flat values (counts[i] in row i, row
-    after row), from the rows padded with inf to the longest row's width."""
+    """An upper bound on each row's k-th smallest of the flat values (counts[i]
+    in row i, row after row): _bound of the rows padded with inf to the
+    longest row's width."""
     grid = np.full((counts.size, max(1, int(counts.max(initial=0)))), np.inf)
     grid[row, np.arange(values.size) - np.repeat(np.cumsum(counts) - counts, counts)] = values
-    last = min(k, grid.shape[1]) - 1
-    return np.partition(grid, last, axis=1)[:, last]
+    return _bound(grid, k)
 
 
 def _rank(points, queries, indptr, indices, k: int, self_ids, gram=None) -> NeighborTable:
     """The k best (distance, id) pairs of each pool row, minus the row's own id
     (self_ids None: none), as a table. A lone row partitions its distances for
-    its k-th; 2+ rows padded with inf give each row's k-th by partitioning the
-    grid. The flat candidates (in row order) up to it, ties included, get
-    sorted, and each row's first k are kept.
+    its k-th; 2+ rows take a bound at or above each row's k-th from the grid
+    of their rows padded with inf (_kth). The flat candidates (in row order)
+    up to it, ties included, get sorted, and each row's first k are kept.
 
     With gram (_centred(points)), 2+ rows first drop the candidates above
     their _cut, which cannot place: BLAS products of the rows' centred
     [x, 1] and the [-2 y, |y|^2] rows of their candidates' union U (a mask
     over the points), in row blocks of at most a quarter of a worker's share
-    of POOL_BYTES, give each h, and a padded grid each row's k-th. The
+    of POOL_BYTES, give each h, and a padded grid each row's bound (_kth). The
     rule: filter unless the block's m |U| (d + 1) multiply-adds cost at least
     the words it saves, less a pass over the n points; else rank directly, in
     spans of the direct width."""
@@ -395,7 +425,7 @@ def query_knn(forest: RpForest, x, k: int, self_id: int | None = None) -> Neighb
     Returns fewer than k entries when the pool is smaller than k.
     """
     own = None if self_id is None else [self_id]
-    return _kernel(forest, np.asarray(x, dtype=np.float64)[None], k, own)[0]
+    return _kernel(forest, np.asarray(x)[None], k, own)[0]
 
 
 def query_all_training(forest: RpForest, k: int) -> NeighborTable:

@@ -5,19 +5,19 @@ Filter: one BLAS product per chunk of query rows, of [x, 1] and
 [-2 y, |y|^2], gives h = |y|^2 - 2 x.y between the mean-centred query x and
 every mean-centred point y: the squared distance less the row's |x|^2, so in
 the order of the distances. Every column not above the row's forest._cut
-survives: its k-th smallest h (its own id left out) plus a slack that bounds
-all rounding, the cut-off the forest's ranking filters with too. A lone
-query skips the filter, as a lone forest query skips _search: its pool is
-every point. The pools are ranked as a forest query's candidates are, so
-the rows are those a scan of every point would give and any disagreement
-with the forest comes from missing candidates. Its independent check is
-tests/reference.py.
+survives: a bound at or above its k-th smallest h (forest._bound; its own
+id left out) plus a slack that bounds all rounding, as in the forest's
+ranking. A lone query skips the filter, as a lone forest query skips
+_search: its pool is every point. The pools are ranked as a forest query's
+candidates are, so the rows are those a scan of every point would give and
+any disagreement with the forest comes from missing candidates. Its
+independent check is tests/reference.py.
 """
 
 import numpy as np
 
 from .core import Dataset, check_int, check_queries, check_self_ids
-from .forest import NeighborList, NeighborTable, _centred, _cut, _rank, _search
+from .forest import NeighborList, NeighborTable, _bound, _centred, _cut, _groups, _rank, _search
 
 
 def _rows(data: Dataset, queries, self_ids, k: int) -> NeighborTable:
@@ -27,8 +27,8 @@ def _rows(data: Dataset, queries, self_ids, k: int) -> NeighborTable:
 
     A lone row is ranked against every point: a filter costs O(n d) as that
     does. Otherwise the data is centred once per call (forest._centred), and
-    the queries by the same mean. Filtering a row holds 17 n bytes, its width
-    in _search: the float64 product row, its partition copy, a bool mask.
+    the queries by the same mean. Filtering a row holds 9 n + 8 b bytes, its
+    width in _search: the product row, a bool mask, b minima (forest._groups).
     """
     queries = check_queries(queries, data.d)
     self_ids = check_self_ids(self_ids, queries.shape[0], data.n)
@@ -49,17 +49,17 @@ def _rows(data: Dataset, queries, self_ids, k: int) -> NeighborTable:
             h = xa[lo:hi] @ ya.T
             if self_ids is not None:
                 h[np.arange(hi - lo), self_ids[lo:hi]] = np.inf  # _rank drops the self id
-            drop = h > _cut(np.partition(h, k - 1, axis=1)[:, k - 1], x2[lo:hi], y2_max, data.d)[:, None]
+            drop = h > _cut(_bound(h, k), x2[lo:hi], y2_max, data.d)[:, None]
         del h
         flat = np.flatnonzero(np.logical_not(drop, out=drop))
         return np.searchsorted(flat, np.arange(0, drop.size + 1, data.n)), flat % data.n
 
-    return _search(data.points, queries, self_ids, k, np.full(queries.shape[0], 17 * data.n), pool)
+    return _search(data.points, queries, self_ids, k, np.full(queries.shape[0], 9 * data.n + 8 * _groups(k, data.n)), pool)
 
 
 def exact_knn(data: Dataset, x, k: int, self_id: int | None = None) -> NeighborList:
     """The k nearest points to x by (distance, id), leaving out self_id."""
-    return _rows(data, np.asarray(x, dtype=np.float64)[None], None if self_id is None else [self_id], k)[0]
+    return _rows(data, np.asarray(x)[None], None if self_id is None else [self_id], k)[0]
 
 
 def all_true_neighbors(data: Dataset, k: int) -> NeighborTable:

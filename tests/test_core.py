@@ -46,6 +46,11 @@ class TestDataset:
         with pytest.raises(ValueError, match="NaN or Inf"):
             make([[1.0, 2.0], [-np.inf, 0.0]])
 
+    def test_rejects_complex(self, make):
+        # a cast to float64 would drop the imaginary part
+        with pytest.raises(ValueError, match="points must be real"):
+            make(np.array([[1.0, 2.0], [3.0, 4.0 + 1e-9j]]))
+
     def test_rejects_1d(self, make):
         with pytest.raises(ValueError, match="2-d"):
             make([1.0, 2.0, 3.0])

@@ -14,7 +14,9 @@ from rpforest.data import gen_gaussian_blobs
 from rpforest.forest import (
     NeighborList,
     NeighborTable,
+    _bound,
     _centred,
+    _groups,
     _rank,
     _spans,
     build_forest,
@@ -203,6 +205,7 @@ class TestQueryValidation:
         [
             (lambda f: query_knn(f, [1.0, 2.0, 3.0], 3), "dimension mismatch"),
             (lambda f: query_knn(f, [np.nan, 0.0], 3), "NaN or Inf"),
+            (lambda f: query_knn(f, [1.0 + 0.5j, 0.0], 3), "queries must be real"),
             (lambda f: query_batch(f, np.zeros((4, 3)), 3), "dimension mismatch"),
             (lambda f: query_batch(f, np.zeros(2), 3), "dimension mismatch"),
             (lambda f: query_batch(f, [[0.0, np.inf]], 3), "NaN or Inf"),
@@ -488,6 +491,50 @@ class TestGramFilter:
             for name in ("indptr", "ids", "distances"):
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
                 assert getattr(a, name).dtype == getattr(b, name).dtype
+
+
+@st.composite
+def bound_grids(draw):
+    """A grid for _bound and k. Values are normal, a few tied values, or
+    +-0.0; or each row repeats its first b columns (b = _groups(k, width),
+    the group count's period, or 61). Then some entries may be nan, and each
+    row's tail inf padding. The width reaches past the widths where _bound
+    groups (4 b at least), and k is 1 up to past the width, or huge."""
+    m, width = draw(st.integers(1, 6)), draw(st.one_of(st.integers(1, 40), st.integers(100, 700)))
+    k = draw(st.one_of(st.integers(1, 8), st.integers(1, width + 2), st.just(10**12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = draw(st.sampled_from(["normal", "ties", "zeros"]))
+    grid = {"normal": rng.normal(size=(m, width)), "ties": rng.integers(-2, 3, size=(m, width)).astype(np.float64),
+            "zeros": rng.choice([-0.0, 0.0], size=(m, width))}[values]
+    if draw(st.booleans()):
+        period = draw(st.sampled_from([_groups(k, width), 61]))
+        grid = grid[:, np.arange(width) % period]
+    if draw(st.booleans()):
+        grid[rng.random((m, width)) < draw(st.sampled_from([0.01, 0.5]))] = np.nan
+    if draw(st.booleans()):
+        grid[np.arange(width) >= rng.integers(0, width + 1, size=m)[:, None]] = np.inf
+    return grid, k
+
+
+class TestBound:
+    """_bound is at or above each row's k-th smallest, and is the k-th itself
+    where the rows are too narrow to group."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(bound_grids())
+    def test_at_or_above_the_kth(self, case):
+        grid, k = case
+        last = min(k, grid.shape[1]) - 1
+        exact, bound = np.partition(grid, last, axis=1)[:, last], _bound(grid, k)
+        # nan sorts last, as np.partition orders it
+        assert np.all(np.isnan(bound) | (~np.isnan(exact) & (bound >= exact)))
+        if 8 * k >= grid.shape[1]:
+            assert bound.tobytes() == exact.tobytes()
+
+    def test_group_counts(self):
+        # the smallest prime at least max(61, 8 k), or the width where that is past a quarter of it
+        assert [_groups(k, 1800) for k in (1, 5, 8, 20, 50, 56, 57)] == [61, 61, 67, 163, 401, 449, 1800]
+        assert _groups(5, 244) == 61 and _groups(5, 243) == 243 and _groups(10**12, 7) == 7
 
 
 class TestWorkers:

@@ -11,6 +11,7 @@ import rpforest.core
 import rpforest.forest
 import rpforest.oracle
 from rpforest.core import Dataset
+from rpforest.data import gen_gaussian_blobs
 from rpforest.oracle import all_true_neighbors, exact_knn
 
 
@@ -132,6 +133,7 @@ class TestExactKnn:
             (lambda ds: exact_knn(ds, [np.nan, 0.0], 3), "NaN or Inf"),
             (lambda ds: exact_knn(ds, [np.inf, 0.0], 3), "NaN or Inf"),
             (lambda ds: exact_knn(ds, 0.5, 3), "dimension mismatch"),
+            (lambda ds: exact_knn(ds, np.array([0.0, 1j]), 3), "queries must be real"),
             (lambda ds: exact_knn(ds, [0.0, 0.0], 3, self_id=-1), "self ids"),
             (lambda ds: exact_knn(ds, [0.0, 0.0], 3, self_id=ds.n), "self ids"),
             (lambda ds: exact_knn(ds, [0.0, 0.0], 3, self_id=1.0), "self ids"),
@@ -224,3 +226,54 @@ class TestAllTrueNeighbors:
         for ra, rb in zip(a, b):
             np.testing.assert_array_equal(ra.ids, rb.ids)
             np.testing.assert_array_equal(ra.distances, rb.distances)
+
+
+def blob_sets():
+    """Blobs whose centres take the ids round-robin, the same points sorted by
+    centre, and 61 round-robin centres: a period equal to the smallest group
+    count of the filter's bound (forest._groups)."""
+    blobs = gen_gaussian_blobs(1800, 64, 10, 1.0, 29)
+    by_centre = np.argsort(blobs.ids % 10, kind="stable")
+    return {"round-robin": blobs, "by-centre": Dataset(blobs.points[by_centre]),
+            "61-centres": gen_gaussian_blobs(1830, 8, 61, 1.0, 29)}
+
+
+BLOB_SETS = blob_sets()
+
+
+def survivors_per_row(data, k):
+    """The mean count of candidates a row all_true_neighbors(data, k)'s filter keeps."""
+    kept, search = [], rpforest.oracle._search
+
+    def counting(points, queries, self_ids, k, widths, pool):
+        def counted(lo, hi):
+            indptr, indices = pool(lo, hi)
+            kept.append(int(indptr[-1] - indptr[0]))
+            return indptr, indices
+
+        return search(points, queries, self_ids, k, widths, counted)
+
+    with mock.patch.object(rpforest.oracle, "_search", counting):
+        all_true_neighbors(data, k)
+    return sum(kept) / data.n
+
+
+class TestFilterBound:
+    """The filter's cut-off comes from a bound at or above each row's k-th h
+    (forest._bound): the rows stay those of the reference, and on blobs in
+    either order the bound keeps about k candidates a row."""
+
+    @pytest.mark.parametrize("name", BLOB_SETS)
+    def test_rows_equal_the_reference(self, name):
+        data = BLOB_SETS[name]
+        expected = [reference.rank(data, np.delete(data.ids, i), data.points[i], 50) for i in range(data.n)]
+        for k in (5, 50):
+            for found, ref in zip(all_true_neighbors(data, k), expected, strict=True):
+                assert_same_row(found, reference.NeighborList(ref.ids[:k], ref.distances[:k]))
+
+    @pytest.mark.parametrize("name", ["round-robin", "by-centre"])
+    @pytest.mark.parametrize("k", [1, 5, 20, 50])
+    def test_survivors_per_row(self, name, k):
+        # a group count sharing a factor with the ids' period of 10 puts one
+        # centre in each group: 40 groups keep 180 a row at k = 5
+        assert survivors_per_row(BLOB_SETS[name], k) <= 2 * k
