@@ -3,9 +3,9 @@ split-direction strategies, an exact brute-force oracle, and a benchmark CLI.
 """
 
 from .core import Dataset, dispersion, random_unit_direction
-from .forest import NeighborList, NeighborTable, RpForest, build_forest, query_batch, query_knn, query_all_training
+from .forest import RpForest, build_forest, query_batch, query_knn, query_all_training
 from .metrics import distance_error, missing_rate
-from .oracle import all_true_neighbors, exact_knn
+from .oracle import NeighborList, NeighborTable, all_true_neighbors, exact_knn
 from .stats import TTestResult, two_sample_ttest
 from .strategies import Method, StrategyConfig
 from .tree import TreeConfig

@@ -10,6 +10,9 @@ import numpy as np
 
 # threads parallel_map runs on: the CPUs this process may use (taskset pins them)
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# working-set budget of all workers together: the build's tree groups gather
+# their points within it, the router its blocks, and the search its chunks and spans
+POOL_BYTES = 16 << 20
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import check_int
-from .forest import NeighborList, NeighborTable
+from .oracle import NeighborList, NeighborTable
 
 
 def _read(truth: Sequence[NeighborList], found: Sequence[NeighborList], k: int):

@@ -231,15 +231,15 @@ def _assemble(data: Dataset, perm, nodes, leaves):
 
 def routing_table(directions, splits, children, node_base, leaf_base) -> tuple:
     """route's table of a forest's node rows: their directions and splits, row
-    r's two child rows at 2r and 2r + 1 (int32 where the table's size fits),
-    and each tree's root row. Leaf l of tree t is row n_internal +
-    leaf_base[t] + l, its own two children."""
+    r's two child rows at 2r and 2r + 1 (intp: take would convert narrower
+    indices on every gather), and each tree's root row. Leaf l of tree t is
+    row n_internal + leaf_base[t] + l, its own two children."""
     n_int = splits.size
     tree = np.repeat(np.arange(node_base.size - 1), np.diff(node_base))[:, None]
     child = np.where(children >= 0, node_base[tree] + children, n_int + leaf_base[tree] + ~children)
     root = np.where(np.diff(node_base) > 0, node_base[:-1], n_int + leaf_base[:-1])
     rows = [child.ravel(), np.arange(n_int, n_int + leaf_base[-1]).repeat(2)]
-    return directions, splits, np.concatenate(rows, dtype=np.int32 if 2 * (n_int + leaf_base[-1]) < 2**31 else np.intp), root
+    return directions, splits, np.concatenate(rows), root
 
 
 def route(directions, splits, child, root, points) -> np.ndarray:

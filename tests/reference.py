@@ -19,7 +19,7 @@ import numpy as np
 
 from rpforest.core import Dataset
 from rpforest.data import CsvFormatError
-from rpforest.forest import NeighborList
+from rpforest.oracle import NeighborList
 
 
 def route_recursive(tree, points) -> np.ndarray:

@@ -9,22 +9,21 @@ from hypothesis import strategies as st
 
 import rpforest.core
 import rpforest.forest
+import rpforest.oracle
 from rpforest.core import Dataset
 from rpforest.data import gen_gaussian_blobs
-from rpforest.forest import (
+from rpforest.forest import build_forest, query_all_training, query_batch, query_knn
+from rpforest.oracle import (
     NeighborList,
     NeighborTable,
     _bound,
-    _centred,
     _groups,
-    _rank,
     _spans,
-    build_forest,
-    query_all_training,
-    query_batch,
-    query_knn,
+    all_true_neighbors,
+    centred,
+    exact_knn,
+    rank,
 )
-from rpforest.oracle import all_true_neighbors, exact_knn
 from rpforest.strategies import StrategyConfig
 from rpforest.tree import TreeConfig
 from test_oracle import KINDS, kind_points
@@ -376,7 +375,7 @@ class TestNeighborTable:
 
 @st.composite
 def rank_calls(draw):
-    """A _rank call of 2+ rows, the row i to rank alone, and k. The pools are
+    """A rank call of 2+ rows, the row i to rank alone, and k. The pools are
     empty, only the row's self id, ids twice over or any ids; integer-grid
     points give exact distance ties, and points scaled by 1e200 inf distances.
     k is 1, row i's pool size or above it."""
@@ -402,12 +401,12 @@ class TestRank:
     @settings(max_examples=300, deadline=None)
     @given(rank_calls())
     def test_lone_row_ranks_as_in_a_batch(self, call):
-        """A lone row takes _rank's one-row branch; the same row inside a call
+        """A lone row takes rank's one-row branch; the same row inside a call
         of 2+ rows takes the padded-grid path. Both give the same bytes."""
         points, queries, indptr, indices, self_ids, i, k = call
         own = None if self_ids is None else self_ids[i : i + 1]
-        alone = _rank(points, queries[i : i + 1], indptr[i : i + 2], indices, k, own)
-        inside = _rank(points, queries, indptr, indices, k, self_ids)[i]
+        alone = rank(points, queries[i : i + 1], indptr[i : i + 2], indices, k, own)
+        inside = rank(points, queries, indptr, indices, k, self_ids)[i]
         assert len(alone) == 1 and len(inside) <= k
         for a, b in ((alone[0].ids, inside.ids), (alone[0].distances, inside.distances)):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -415,7 +414,7 @@ class TestRank:
 
 @st.composite
 def filter_calls(draw):
-    """A _rank call of 2+ rows on points of one of test_oracle's kinds (grid
+    """A rank call of 2+ rows on points of one of test_oracle's kinds (grid
     ties, duplicates, 1e6 offsets, 1e200 and 1e-170 scales, ...) or on a line
     of points up to 9e153 from 0, whose distances and Gram terms may overflow
     while the filter's sigma does not, and k. The rows are points with their
@@ -451,7 +450,7 @@ NEAR_MAX = np.array([-8.51061019873184e153, -4.678566370855442e153, 8.5444030185
 
 
 class TestGramFilter:
-    """_rank's Gram filter drops only candidates that cannot place: filtered
+    """rank's Gram filter drops only candidates that cannot place: filtered
     and direct ranking give the same bytes."""
 
     @settings(max_examples=1000, deadline=None)
@@ -459,18 +458,18 @@ class TestGramFilter:
     @example(call=(NEAR_MAX, NEAR_MAX[[3, 0]], np.array([0, 7, 14]), np.tile(np.arange(7), 2), None, 6))
     def test_filtered_rank_equals_direct_rank(self, call):
         points, queries, indptr, indices, self_ids, k = call
-        direct = _rank(points, queries, indptr, indices, k, self_ids)
+        direct = rank(points, queries, indptr, indices, k, self_ids)
         tables = []
         # the rule filters whatever has candidates (_cut must run), in one block or a block a row
-        for budget in (rpforest.forest.POOL_BYTES, 1):
-            with mock.patch.object(rpforest.forest, "_FILTER_WORDS", -1e9), \
-                    mock.patch.object(rpforest.forest, "POOL_BYTES", budget), \
-                    mock.patch.object(rpforest.forest, "_cut", wraps=rpforest.forest._cut) as cut:
-                tables.append(_rank(points, queries, indptr, indices, k, self_ids, _centred(points)))
+        for budget in (rpforest.core.POOL_BYTES, 1):
+            with mock.patch.object(rpforest.oracle, "_FILTER_WORDS", -1e9), \
+                    mock.patch.object(rpforest.core, "POOL_BYTES", budget), \
+                    mock.patch.object(rpforest.oracle, "_cut", wraps=rpforest.oracle._cut) as cut:
+                tables.append(rank(points, queries, indptr, indices, k, self_ids, centred(points)))
             assert cut.called == (indptr[-1] > indptr[0])
         # the rule never filters: the rows are ranked directly, here one span a row
-        with mock.patch.object(rpforest.forest, "_FILTER_WORDS", 1e9), mock.patch.object(rpforest.forest, "POOL_BYTES", 1):
-            tables.append(_rank(points, queries, indptr, indices, k, self_ids, _centred(points)))
+        with mock.patch.object(rpforest.oracle, "_FILTER_WORDS", 1e9), mock.patch.object(rpforest.core, "POOL_BYTES", 1):
+            tables.append(rank(points, queries, indptr, indices, k, self_ids, centred(points)))
         for table in tables:
             for a in ("indptr", "ids", "distances"):
                 x, y = getattr(table, a), getattr(direct, a)
@@ -484,8 +483,8 @@ class TestGramFilter:
         forest = build_forest(data, TreeConfig(), n_trees, master_seed=31)
         queries = np.random.default_rng(32).normal(size=(50, d))
         outputs = []
-        for words in (rpforest.forest._FILTER_WORDS, np.inf):
-            with mock.patch.object(rpforest.forest, "_FILTER_WORDS", words):
+        for words in (rpforest.oracle._FILTER_WORDS, np.inf):
+            with mock.patch.object(rpforest.oracle, "_FILTER_WORDS", words):
                 outputs.append([query_all_training(forest, 5), query_batch(forest, queries, 7, self_ids=np.arange(50))])
         for a, b in zip(*outputs):
             for name in ("indptr", "ids", "distances"):
@@ -547,14 +546,14 @@ class TestWorkers:
         queries = np.random.default_rng(8).normal(size=(40, 3))
         # build with group_bytes as each worker's share (None: the unpatched
         # budget), then query under a small budget: several pooling chunks
-        build = rpforest.forest.POOL_BYTES if group_bytes is None else group_bytes * rpforest.core.WORKERS
-        with mock.patch.object(rpforest.forest, "POOL_BYTES", build):
+        build = rpforest.core.POOL_BYTES if group_bytes is None else group_bytes * rpforest.core.WORKERS
+        with mock.patch.object(rpforest.core, "POOL_BYTES", build):
             forest = build_forest(data, cfg, 7, master_seed=9)
-        with mock.patch.object(rpforest.forest, "POOL_BYTES", 1 << 14):
+        with mock.patch.object(rpforest.core, "POOL_BYTES", 1 << 14):
             rows = query_all_training(forest, 5) + query_batch(forest, queries, 5)
             rows += [query_knn(forest, q, 5, self_id=3) for q in queries[:3]]
         # at most 69, 34 or 23 rows a chunk for 1, 2 or 3 workers: 3, 5 or 7 chunks of near-equal size
-        with mock.patch.object(rpforest.forest, "POOL_BYTES", 17 * 160 * 69):
+        with mock.patch.object(rpforest.core, "POOL_BYTES", 17 * 160 * 69):
             rows += all_true_neighbors(data, 5)
         rows += all_true_neighbors(data, 5)
         arrays = [forest.directions, forest.splits, forest.children, forest.node_base, forest.leaf_base]
@@ -588,7 +587,7 @@ class TestWorkers:
         data = random_dataset(13, n=100, d=2)
         for workers, expected in sizes.items():
             with mock.patch.object(rpforest.core, "WORKERS", workers), \
-                    mock.patch.object(rpforest.forest, "POOL_BYTES", 6 * 8 * 100 * 2), \
+                    mock.patch.object(rpforest.core, "POOL_BYTES", 6 * 8 * 100 * 2), \
                     mock.patch.object(rpforest.forest, "build_trees", wraps=rpforest.forest.build_trees) as spy:
                 build_forest(data, TreeConfig(), n_trees, master_seed=14)
             # threads may call in any order; the groups are cut from tree 0 on
@@ -601,7 +600,7 @@ class TestWorkers:
                 mock.patch.object(rpforest.core, "ThreadPoolExecutor", side_effect=AssertionError("thread pool")):
             query_knn(forest, queries[0], 5)
             query_batch(forest, queries, 5)
-            with mock.patch.object(rpforest.forest, "POOL_BYTES", 1 << 14):  # several chunks: the patch is live
+            with mock.patch.object(rpforest.core, "POOL_BYTES", 1 << 14):  # several chunks: the patch is live
                 with pytest.raises(AssertionError, match="thread pool"):
                     query_all_training(forest, 5)
 
@@ -614,7 +613,7 @@ class TestWorkingSet:
         data = random_dataset(20, n=2000, d=3)
         forest = build_forest(data, TreeConfig(), 50, master_seed=21)
         budget = 2 << 20
-        with mock.patch.object(rpforest.forest, "POOL_BYTES", budget):
+        with mock.patch.object(rpforest.core, "POOL_BYTES", budget):
             tracemalloc.start()
             try:
                 all_true_neighbors(data, 5) if search == "all_true_neighbors" else query_all_training(forest, 5)
@@ -627,13 +626,13 @@ class TestWorkingSet:
         """At d = 64 query_all_training ranks in spans sized for the Gram filter."""
         data = random_dataset(22, n=2000, d=64)
         forest = build_forest(data, TreeConfig(), 50, master_seed=23)
-        budget, cut, calls = 2 << 20, rpforest.forest._cut, []
+        budget, cut, calls = 2 << 20, rpforest.oracle._cut, []
 
         def counted(*args):  # a Mock would keep every argument alive
             calls.append(None)
             return cut(*args)
 
-        with mock.patch.object(rpforest.forest, "POOL_BYTES", budget), mock.patch.object(rpforest.forest, "_cut", counted):
+        with mock.patch.object(rpforest.core, "POOL_BYTES", budget), mock.patch.object(rpforest.oracle, "_cut", counted):
             tracemalloc.start()
             try:
                 query_all_training(forest, 5)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rpforest.core import Dataset
-from rpforest.forest import NeighborList, NeighborTable, build_forest, query_all_training
+from rpforest.forest import build_forest, query_all_training
+from rpforest.oracle import NeighborList, NeighborTable
 from rpforest.oracle import all_true_neighbors
 from rpforest.tree import TreeConfig
 from rpforest.metrics import distance_error, missing_rate

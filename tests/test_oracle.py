@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import reference
 import rpforest.core
-import rpforest.forest
 import rpforest.oracle
 from rpforest.core import Dataset
 from rpforest.data import gen_gaussian_blobs
@@ -77,7 +76,7 @@ def assert_same_row(found, expected):
 @settings(max_examples=200, deadline=None)
 @given(oracle_cases())
 def test_oracle_matches_full_stable_sort(case):
-    """Both oracle paths and the shared ranker, forest._rank, equal a full
+    """Both oracle paths and the shared ranker, oracle.rank, equal a full
     stable argsort over every id except the query's own, bit for bit."""
     data, x, k, self_id, order = case
     others = data.ids if self_id is None else np.delete(data.ids, self_id)
@@ -86,10 +85,10 @@ def test_oracle_matches_full_stable_sort(case):
     for found, ref in zip(all_true_neighbors(data, k), expected, strict=True):
         assert_same_row(found, ref)
     # the ranker does not lean on candidates arriving in id order: each row's
-    # pool is every id in the drawn order, own id included, and _rank drops it
+    # pool is every id in the drawn order, own id included, and rank drops it
     indices = np.tile(order, data.n)
     indptr = np.arange(0, indices.size + 1, data.n)
-    shuffled = rpforest.forest._rank(data.points, data.points, indptr, indices, k, data.ids)
+    shuffled = rpforest.oracle.rank(data.points, data.points, indptr, indices, k, data.ids)
     for found, ref in zip(shuffled, expected, strict=True):
         assert_same_row(found, ref)
 
@@ -219,7 +218,7 @@ class TestAllTrueNeighbors:
         pts = np.random.default_rng(5).normal(size=(60, 3))
         ds = Dataset.from_points(pts)
         # chunks of 7 rows of 17 n bytes (the last one short), and on one worker one chunk of all 60
-        with mock.patch.object(rpforest.forest, "POOL_BYTES", 17 * 60 * 7 * rpforest.core.WORKERS):
+        with mock.patch.object(rpforest.core, "POOL_BYTES", 17 * 60 * 7 * rpforest.core.WORKERS):
             a = all_true_neighbors(ds, 3)
         with mock.patch.object(rpforest.core, "WORKERS", 1):
             b = all_true_neighbors(ds, 3)
@@ -231,7 +230,7 @@ class TestAllTrueNeighbors:
 def blob_sets():
     """Blobs whose centres take the ids round-robin, the same points sorted by
     centre, and 61 round-robin centres: a period equal to the smallest group
-    count of the filter's bound (forest._groups)."""
+    count of the filter's bound (oracle._groups)."""
     blobs = gen_gaussian_blobs(1800, 64, 10, 1.0, 29)
     by_centre = np.argsort(blobs.ids % 10, kind="stable")
     return {"round-robin": blobs, "by-centre": Dataset(blobs.points[by_centre]),
@@ -243,7 +242,7 @@ BLOB_SETS = blob_sets()
 
 def survivors_per_row(data, k):
     """The mean count of candidates a row all_true_neighbors(data, k)'s filter keeps."""
-    kept, search = [], rpforest.oracle._search
+    kept, search = [], rpforest.oracle.search
 
     def counting(points, queries, self_ids, k, widths, pool):
         def counted(lo, hi):
@@ -253,14 +252,14 @@ def survivors_per_row(data, k):
 
         return search(points, queries, self_ids, k, widths, counted)
 
-    with mock.patch.object(rpforest.oracle, "_search", counting):
+    with mock.patch.object(rpforest.oracle, "search", counting):
         all_true_neighbors(data, k)
     return sum(kept) / data.n
 
 
 class TestFilterBound:
     """The filter's cut-off comes from a bound at or above each row's k-th h
-    (forest._bound): the rows stay those of the reference, and on blobs in
+    (oracle._bound): the rows stay those of the reference, and on blobs in
     either order the bound keeps about k candidates a row."""
 
     @pytest.mark.parametrize("name", BLOB_SETS)

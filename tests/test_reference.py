@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-import rpforest.forest
+import rpforest.core
 from rpforest.core import Dataset
-from rpforest.forest import NeighborList, RpForest, build_forest, query_all_training, query_batch, query_knn
+from rpforest.forest import RpForest, build_forest, query_all_training, query_batch, query_knn
+from rpforest.oracle import NeighborList
 from rpforest.metrics import distance_error, missing_rate
 from rpforest.strategies import Method, StrategyConfig
 from rpforest.tree import Leaf, TreeConfig, assign_leaves, build_tree
@@ -162,7 +163,7 @@ def test_build_groups_equal_single_trees(case, group):
     forest = case[0]
     data, cfg = forest.data, forest.tree_config
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(forest.master_seed).spawn(len(forest.trees))]
-    with mock.patch.object(rpforest.forest, "POOL_BYTES", group * 8 * data.n * data.d * rpforest.core.WORKERS):
+    with mock.patch.object(rpforest.core, "POOL_BYTES", group * 8 * data.n * data.d * rpforest.core.WORKERS):
         grouped = build_forest(data, cfg, len(forest.trees), forest.master_seed)
 
     names = ("directions", "splits", "children", "leaf_offsets", "leaf_members", "leaf_of")
