@@ -1,8 +1,8 @@
 """Benchmark harness: sweep (method, T, k) grids and emit plot-ready CSV.
 
-Every grid cell builds a fresh forest, queries every dataset point with
-self-exclusion, and scores the results against a once-computed exact-neighbor
-table, so all methods are measured against identical ground truth.
+Every unit of a grid, one repetition of a cell, builds a fresh forest, queries
+every point with self-exclusion, and scores the results against a once-computed
+exact-neighbor table, so all methods are measured against identical ground truth.
 """
 
 import argparse
@@ -10,6 +10,7 @@ import itertools
 import json
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,9 +18,9 @@ import numpy as np
 
 from .core import Dataset, check_int
 from .data import gen_concentric_rings, gen_gaussian_blobs, load_csv
-from .forest import build_forest, query_all_training
+from .forest import RpForest, build_forest, query_all_training
 from .metrics import distance_error, missing_rate
-from .oracle import all_true_neighbors
+from .oracle import NeighborTable, all_true_neighbors
 from .stats import two_sample_ttest
 from .strategies import Method, StrategyConfig
 from .tree import TreeConfig
@@ -114,6 +115,11 @@ class ExperimentConfig:
         """The grid's (method, T, k) cells, in the order of its rows."""
         return list(itertools.product(self.methods, self.forest_sizes, self.k_values))
 
+    def units(self, n: int) -> list[tuple[int, tuple[int, int, int], int]]:
+        """The grid's work units in row order: (cell_index, cell, rep) for every
+        cell of cells() and each of its effective_repetitions(n)."""
+        return [(c, cell, rep) for c, cell in enumerate(self.cells()) for rep in range(self.effective_repetitions(n))]
+
 
 def parse_dataset_spec(spec: str, **csv_options) -> Dataset:
     """Build a Dataset from a spec string: a CSV path (read by load_csv with
@@ -141,12 +147,14 @@ def parse_dataset_spec(spec: str, **csv_options) -> Dataset:
     return load_csv(spec, **csv_options)
 
 
-def run_experiment_grid(data: Dataset, cfg: ExperimentConfig) -> list[dict]:
-    """Run every (method, T, k, repetition) cell; returns one row dict per run.
+def run_units(data: Dataset, cfg: ExperimentConfig) -> Iterator[tuple[dict, NeighborTable, RpForest]]:
+    """Validate the grid, check its data and rank its exact neighbours once,
+    then return an iterator over its units (cfg.units): each unit builds one
+    forest, queries every point and yields (row, found, forest).
 
-    Repetition r of cell c draws its seeds from the child stream keyed by
-    (c, r) under the master seed, so reruns are bit-identical and cells are
-    independent.
+    Unit (cell_index, rep) draws its seeds from the child stream keyed by
+    (cell_index, rep) under the master seed, so reruns are bit-identical and
+    units are independent. No forest is built before the first unit is asked for.
     """
     tree_configs = cfg.validate(data.n)
     with np.errstate(over="ignore"):
@@ -159,15 +167,13 @@ def run_experiment_grid(data: Dataset, cfg: ExperimentConfig) -> list[dict]:
         # and n * max ptp^2 every sum of a node's centred coordinate products (method 4's covariances)
         if Method.PRINCIPAL_COMPONENT in cfg.methods and data.n * span.max() ** 2 >= np.finfo(np.float64).max / 2:
             raise ConfigError("covariances of the data overflow float64 (method 4); rescale the data")
-    reps = cfg.effective_repetitions(data.n)
     # rows sorted by (distance, id): each smaller k's rows are prefixes
     widest = all_true_neighbors(data, max(cfg.k_values))
     truth = {k: widest.prefix(k) for k in cfg.k_values}
-    rows = []
-    for cell_index, (method, n_trees, k) in enumerate(cfg.cells()):
-        for rep in range(reps):
+
+    def run():
+        for cell_index, (method, n_trees, k), rep in cfg.units(data.n):
             ss = np.random.SeedSequence(cfg.master_seed, spawn_key=(cell_index, rep))
-            seed_id = int(ss.generate_state(1)[0])
             t0 = time.perf_counter()
             forest = build_forest(data, tree_configs[method], n_trees, ss)
             t1 = time.perf_counter()
@@ -176,9 +182,15 @@ def run_experiment_grid(data: Dataset, cfg: ExperimentConfig) -> list[dict]:
             m_bar, _ = missing_rate(truth[k], found, k)
             d_bar, _ = distance_error(truth[k], found, k)
             timings = ((t1 - t0) * 1e3, (t2 - t1) * 1e3) if cfg.include_timings else (0.0, 0.0)
-            values = (method, n_trees, k, cfg.leaf_capacity, rep, m_bar, d_bar, *timings, seed_id)
-            rows.append(dict(zip(RESULT_COLUMNS, values)))
-    return rows
+            values = (method, n_trees, k, cfg.leaf_capacity, rep, m_bar, d_bar, *timings, int(ss.generate_state(1)[0]))
+            yield dict(zip(RESULT_COLUMNS, values)), found, forest
+
+    return run()
+
+
+def run_experiment_grid(data: Dataset, cfg: ExperimentConfig) -> list[dict]:
+    """Every unit's row (see run_units), in cell order."""
+    return [row for row, _, _ in run_units(data, cfg)]
 
 
 def format_float(x: float) -> str:
@@ -214,15 +226,8 @@ def run_ttest_report(rows: list[dict], t_threshold: int) -> list[dict]:
                 f"got {len(baseline)} and {len(other)} at T={n_trees}"
             )
         result = two_sample_ttest(baseline, other)
-        report.append(
-            {
-                "T": n_trees,
-                "k": k,
-                "method": method,
-                "statistic": "-" if result.identical_means else format_float(result.statistic),
-                "p_value": "-" if result.identical_means else format_float(result.p_value),
-            }
-        )
+        stat, p = ("-", "-") if result.identical_means else (format_float(result.statistic), format_float(result.p_value))
+        report.append({"T": n_trees, "k": k, "method": method, "statistic": stat, "p_value": p})
     return report
 
 
@@ -269,10 +274,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="rpforest-bench",
-        description="Benchmark k-nn search quality of random projection forests.",
-    )
+    parser = _Parser(prog="rpforest-bench", description="Benchmark k-nn search quality of random projection forests.")
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument(
         "--dataset",
@@ -292,16 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--reps", type=int, help="repetitions per cell (default 100, 10 if n > 2000)")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", required=False, help="output CSV path")
-    parser.add_argument(
-        "--ttest-threshold",
-        type=int,
-        help="also print a method-1-vs-others t-test table for T above this value",
-    )
-    parser.add_argument(
-        "--no-timings",
-        action="store_true",
-        help="write 0 for timing columns so reruns are byte-identical",
-    )
+    parser.add_argument("--ttest-threshold", type=int, help="also print a method-1-vs-others t-test table for T above this value")
+    parser.add_argument("--no-timings", action="store_true", help="write 0 for timing columns so reruns are byte-identical")
     return parser
 
 
@@ -331,9 +325,9 @@ def main(argv=None) -> int:
             include_timings=not args.no_timings,
         )
         cfg.validate(data.n)
-        if args.ttest_threshold is not None:  # a dry run on the grid's cells: the report's own checks fail now
-            cells = [{"method": m, "T": t, "k": k, "missing_rate": 0.0} for m, t, k in cfg.cells()]
-            run_ttest_report(cells * cfg.effective_repetitions(data.n), args.ttest_threshold)
+        if args.ttest_threshold is not None:  # a dry run on the grid's units: the report's own checks fail now
+            dry = [{"method": m, "T": t, "k": k, "missing_rate": 0.0} for _, (m, t, k), _ in cfg.units(data.n)]
+            run_ttest_report(dry, args.ttest_threshold)
 
         rows = run_experiment_grid(data, cfg)
         write_results_csv(rows, args.out)

@@ -1,6 +1,7 @@
 """Numeric primitives shared by the tree, forest and evaluation code."""
 
 import math
+import numbers
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -24,9 +25,7 @@ class Dataset:
     points: np.ndarray
 
     def __post_init__(self):
-        if np.iscomplexobj(self.points):  # a cast to float64 would drop the imaginary part
-            raise ValueError("points must be real, got complex values")
-        pts = np.array(self.points, dtype=np.float64, order="C")
+        pts = real_array(self.points, "points", copy=True)
         if pts.ndim != 2:
             raise ValueError(f"points must be a 2-d matrix, got ndim={pts.ndim}")
         if min(pts.shape) < 1:
@@ -42,11 +41,32 @@ class Dataset:
     d = property(lambda self: self.points.shape[1])
 
 
+def real_array(values, name: str, copy: bool = False) -> np.ndarray:
+    """values as a float64 array, a new C-ordered one with copy, else
+    ValueError naming it: complex values, values that are not numbers and
+    numbers beyond float64 are refused, not cast."""
+    try:
+        if not np.iscomplexobj(values):  # a cast to float64 would drop the imaginary part
+            return np.array(values, dtype=np.float64, order="C") if copy else np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be real numbers: {exc}") from None
+    raise ValueError(f"{name} must be real, got complex values")
+
+
+def check_real(value, name: str) -> float:
+    """value as a float, else ValueError naming it: a real number that a
+    float64 holds (a bool or a string is not one)."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:  # an int beyond float64
+        pass
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def check_queries(queries, d: int) -> np.ndarray:
     """Queries as an (m, d) float64 matrix of finite real values, else ValueError."""
-    if np.iscomplexobj(queries):
-        raise ValueError("queries must be real, got complex values")
-    q = np.asarray(queries, dtype=np.float64)
+    q = real_array(queries, "queries")
     if q.ndim != 2 or q.shape[1] != d:
         raise ValueError(f"dimension mismatch: queries have shape {q.shape}, data has d={d}")
     if not np.all(np.isfinite(q)):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 
-from .core import Dataset, check_int
+from .core import Dataset, check_int, check_real, real_array
 
 
 class CsvFormatError(ValueError):
@@ -103,13 +103,14 @@ def gen_gaussian_blobs(n: int, d: int, centers, sigma: float, seed: int) -> Data
     case center locations are drawn uniformly in [-10, 10]^d from the seed.
     """
     n, d = check_int(n, "n", 2), check_int(d, "d", 1)
+    sigma = check_real(sigma, "sigma")
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
     if np.isscalar(centers):
         center_pts = rng.uniform(-10.0, 10.0, size=(check_int(centers, "centers", 1), d))
     else:
-        center_pts = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+        center_pts = np.atleast_2d(real_array(centers, "centers"))
         if center_pts.shape[1] != d:
             raise ValueError(f"centers have d={center_pts.shape[1]}, expected {d}")
     assignment = np.arange(n) % center_pts.shape[0]
@@ -120,14 +121,15 @@ def gen_gaussian_blobs(n: int, d: int, centers, sigma: float, seed: int) -> Data
 def gen_concentric_rings(n: int, radii, noise_sigma: float, seed: int) -> Dataset:
     """2-d points at evenly spaced angles on each ring plus radial noise."""
     n = check_int(n, "n", 1)
-    radii = np.asarray(radii, dtype=np.float64)
+    radii = real_array(radii, "radii")
     if radii.size == 0 or not np.all((radii > 0) & (radii < np.inf)):
         raise ValueError(f"radii must be positive and finite, got {radii.tolist()!r}")
     if np.unique(radii).size != radii.size:
         raise ValueError("radii must be distinct")
+    noise_sigma = check_real(noise_sigma, "noise_sigma")
     if not 0 <= noise_sigma < np.inf:
         raise ValueError(f"noise_sigma must be non-negative and finite, got {noise_sigma!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
     points = np.empty((n, 2))
     assignment = np.arange(n) % radii.size
     for ring, radius in enumerate(radii):

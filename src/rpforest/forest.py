@@ -76,7 +76,8 @@ def build_forest(
     leaf are the membership indices, tree t's n ids at [t * n:(t + 1) * n].
     """
     check_int(n_trees, "n_trees", 1)
-    ss = master_seed if isinstance(master_seed, np.random.SeedSequence) else np.random.SeedSequence(master_seed)
+    seeded = isinstance(master_seed, np.random.SeedSequence)
+    ss = master_seed if seeded else np.random.SeedSequence(check_int(master_seed, "master_seed", 0))
     rngs = [
         np.random.default_rng(np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, t), pool_size=ss.pool_size))
         for t in range(n_trees)

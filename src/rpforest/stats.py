@@ -11,6 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
+from .core import real_array
+
 IDENTICAL_MEANS_TOL = 1e-12
 
 
@@ -31,8 +33,7 @@ def student_t_two_sided_pvalue(t: float, df: float) -> float:
 
 def two_sample_ttest(a, b) -> TTestResult:
     """Two-sided two-sample Student t-test with pooled variance (na + nb - 2 df)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = real_array(a, "sample a"), real_array(b, "sample b")
     if a.size < 2 or b.size < 2:
         raise ValueError(f"each sample needs >= 2 values, got {a.size} and {b.size}")
     for name, x in (("a", a), ("b", b)):

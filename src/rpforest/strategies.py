@@ -15,7 +15,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .core import Level, check_int, dispersion, random_unit_directions
+from .core import Level, check_int, check_real, dispersion, random_unit_directions
 
 
 class Method(IntEnum):
@@ -34,7 +34,9 @@ class StrategyConfig:
     def __post_init__(self):
         object.__setattr__(self, "method", Method(check_int(self.method, "method", 1, 4)))
         check_int(self.n_try, "n_try", 1)
-        sigmas = tuple(self.noise_sigmas)
+        if isinstance(self.noise_sigmas, str) or not np.iterable(self.noise_sigmas):
+            raise ValueError(f"noise_sigmas must be a sequence of real numbers, got {self.noise_sigmas!r}")
+        sigmas = tuple(check_real(s, f"noise_sigmas[{i}]") for i, s in enumerate(self.noise_sigmas))
         if not all(0 < s < np.inf for s in sigmas):
             raise ValueError(f"noise sigmas must be finite and positive, got {sigmas}")
         if any(a <= b for a, b in zip(sigmas, sigmas[1:])):

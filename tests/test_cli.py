@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -20,9 +21,12 @@ from rpforest.cli import (
     parse_dataset_spec,
     run_experiment_grid,
     run_ttest_report,
+    run_units,
     write_results_csv,
 )
 from rpforest.data import gen_gaussian_blobs
+from rpforest.forest import query_all_training
+from rpforest.metrics import missing_rate
 from rpforest.oracle import all_true_neighbors
 
 
@@ -114,6 +118,58 @@ class TestExperimentGrid:
     def test_validation_before_work(self, small_data):
         with pytest.raises(ConfigError):
             run_experiment_grid(small_data, ExperimentConfig(k_values=(50,), leaf_capacity=20))
+
+
+class TestRunUnits:
+    """The grid's work units: run_units yields (row, found, forest) for each
+    (cell_index, rep) of cfg.units, seeded by spawn key (cell_index, rep)."""
+
+    CFG = ExperimentConfig(methods=(1, 3), forest_sizes=(1, 3), k_values=(5, 2), repetitions=2, master_seed=7)
+
+    def test_units_in_cell_then_repetition_order(self, small_data):
+        expected = [(c, cell, rep) for c, cell in enumerate(self.CFG.cells()) for rep in range(2)]
+        assert self.CFG.units(small_data.n) == expected
+        rows = [row for row, _, _ in run_units(small_data, self.CFG)]
+        assert [(row["method"], row["T"], row["k"], row["repetition"]) for row in rows] == [
+            (*cell, rep) for _, cell, rep in expected
+        ]
+
+    def test_unit_seeds_and_results(self, small_data):
+        for (row, found, forest), (c, (_, n_trees, k), rep) in zip(
+            run_units(small_data, self.CFG), self.CFG.units(small_data.n), strict=True
+        ):
+            ss = np.random.SeedSequence(7, spawn_key=(c, rep))
+            assert row["seed"] == ss.generate_state(1)[0]
+            assert forest.master_seed.spawn_key == (c, rep) and forest.leaf_of.shape[0] == n_trees
+            expected = query_all_training(forest, k)
+            np.testing.assert_array_equal(found.ids, expected.ids)
+            assert row["missing_rate"] == missing_rate(all_true_neighbors(small_data, k), found, k)[0]
+
+    def test_rows_equal_run_experiment_grid(self, small_data):
+        cfg = dataclasses.replace(self.CFG, include_timings=False)
+        assert [row for row, _, _ in run_units(small_data, cfg)] == run_experiment_grid(small_data, cfg)
+
+    def test_stopping_after_one_unit_builds_one_forest(self, small_data, monkeypatch):
+        calls = {"build_forest": 0, "all_true_neighbors": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(rpforest.cli, name, counted(name, getattr(rpforest.cli, name)))
+        units = run_units(small_data, self.CFG)
+        assert calls == {"build_forest": 0, "all_true_neighbors": 1}  # the oracle runs before the first unit
+        next(units)
+        units.close()
+        assert calls == {"build_forest": 1, "all_true_neighbors": 1}
+
+    def test_invalid_grid_raises_before_iteration(self, small_data):
+        with pytest.raises(ConfigError, match="max k"):
+            run_units(small_data, ExperimentConfig(k_values=(50,), leaf_capacity=20))
 
 
 class TestWriteResultsCsv:

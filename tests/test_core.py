@@ -51,6 +51,20 @@ class TestDataset:
         with pytest.raises(ValueError, match="points must be real"):
             make(np.array([[1.0, 2.0], [3.0, 4.0 + 1e-9j]]))
 
+    @pytest.mark.parametrize(
+        "points, cause",
+        [
+            (np.array([[10**400, 0.0]], dtype=object), "int too large to convert to float"),
+            ([[{}, 0.0]], "not 'dict'"),
+            ([["x", 0.0]], "could not convert string to float: 'x'"),
+            ([[1.0, 2.0], [3.0]], "inhomogeneous shape"),
+        ],
+        ids=["beyond-float64", "dict", "word", "ragged"],
+    )
+    def test_rejects_non_numbers_by_name(self, make, points, cause):
+        with pytest.raises(ValueError, match=f"^points must be real numbers: .*{re.escape(cause)}"):
+            make(points)
+
     def test_rejects_1d(self, make):
         with pytest.raises(ValueError, match="2-d"):
             make([1.0, 2.0, 3.0])

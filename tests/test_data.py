@@ -212,6 +212,32 @@ class TestGaussianBlobs:
         with pytest.raises(ValueError, match=message):
             gen_gaussian_blobs(n, 2, centers, 0.5, seed=0)
 
+    @pytest.mark.parametrize("seed", [-3, 1.5, True, "0", None, np.random.default_rng(0)])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda seed: gen_gaussian_blobs(10, 2, 2, 0.5, seed), lambda seed: gen_concentric_rings(10, [1.0], 0.1, seed)],
+        ids=["blobs", "rings"],
+    )
+    def test_bad_seed_named(self, make, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer in [0, inf], got {seed!r}")):
+            make(seed)
+
+    @pytest.mark.parametrize(
+        "sigma, centers, message",
+        [
+            ("1", 2, "sigma must be a real number, got '1'"),
+            (None, 2, "sigma must be a real number, got None"),
+            (True, 2, "sigma must be a real number, got True"),
+            (10**400, 2, "sigma must be a real number, got 1000"),
+            (0.5, [[0.0, {}]], "centers must be real numbers: "),
+            (0.5, [[0.0, 10**400]], "centers must be real numbers: int too large to convert to float"),
+        ],
+        ids=["str", "None", "bool", "beyond-float64", "dict-center", "center-beyond-float64"],
+    )
+    def test_non_numbers_named(self, sigma, centers, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            gen_gaussian_blobs(10, 2, centers, sigma, seed=0)
+
 
 class TestConcentricRings:
     def test_noiseless_circle(self):
@@ -229,6 +255,22 @@ class TestConcentricRings:
         a = gen_concentric_rings(60, [1.0, 2.0], 0.1, seed=2)
         b = gen_concentric_rings(60, [1.0, 2.0], 0.1, seed=2)
         np.testing.assert_array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize(
+        "radii, noise_sigma, message",
+        [
+            ([1.0], "x", "noise_sigma must be a real number, got 'x'"),
+            ([1.0], None, "noise_sigma must be a real number, got None"),
+            ([1.0], 10**400, "noise_sigma must be a real number, got 1000"),
+            (["x"], 0.1, "radii must be real numbers: could not convert string to float: 'x'"),
+            ([10**400], 0.1, "radii must be real numbers: int too large to convert to float"),
+            ([1.0, 2.0j], 0.1, "radii must be real, got complex values"),
+        ],
+        ids=["str", "None", "beyond-float64", "word-radius", "radius-beyond-float64", "complex-radius"],
+    )
+    def test_non_numbers_named(self, radii, noise_sigma, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            gen_concentric_rings(10, radii, noise_sigma, seed=0)
 
     def test_duplicate_radii_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 from unittest import mock
 
@@ -89,6 +90,17 @@ class TestBuildForest:
         spawned = np.random.SeedSequence(6, spawn_key=(2,))
         spawned.spawn(3)  # tree t is child stream t whatever the seed spawned before
         assert_same_forest(first, build_forest(ds, cfg, 4, spawned))
+
+    @pytest.mark.parametrize("seed", [-3, 1.5, True, "1", None, np.random.default_rng(0)])
+    def test_bad_master_seed_named(self, seed):
+        message = f"master_seed must be an integer in [0, inf], got {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_forest(random_dataset(1, n=20), TreeConfig(), 2, seed)
+
+    @pytest.mark.parametrize("seed", [6, np.int64(6)], ids=["int", "int64"])
+    def test_integer_master_seeds_agree(self, seed):
+        ds, cfg = random_dataset(4, n=120, d=3), TreeConfig(leaf_capacity=8)
+        assert_same_forest(build_forest(ds, cfg, 3, seed), build_forest(ds, cfg, 3, np.random.SeedSequence(6)))
 
     @pytest.mark.parametrize("seed", [6, np.random.SeedSequence(6, spawn_key=(2,))], ids=["int", "SeedSequence"])
     def test_master_seed_rebuilds_the_forest(self, seed):
@@ -222,6 +234,22 @@ class TestQueryValidation:
     def test_bad_queries_rejected(self, call, message):
         forest = build_forest(random_dataset(14, n=50), TreeConfig(), 2, master_seed=17)
         with pytest.raises(ValueError, match=message):
+            call(forest)
+
+    @pytest.mark.parametrize(
+        "call, cause",
+        [
+            (lambda f: query_knn(f, [10**400, 0.0], 3), "int too large to convert to float"),
+            (lambda f: query_knn(f, [{}, 0.0], 3), "not 'dict'"),
+            (lambda f: query_knn(f, ["x", 0.0], 3), "could not convert string to float"),
+            (lambda f: query_batch(f, [[0.0, 10**400], [0.0, 0.0]], 3), "int too large to convert to float"),
+            (lambda f: query_batch(f, [[0.0, 0.0], [0.0]], 3), "inhomogeneous shape"),
+        ],
+        ids=["knn-beyond-float64", "knn-dict", "knn-word", "batch-beyond-float64", "batch-ragged"],
+    )
+    def test_non_numeric_queries_named(self, call, cause):
+        forest = build_forest(random_dataset(14, n=50), TreeConfig(), 2, master_seed=17)
+        with pytest.raises(ValueError, match=f"^queries must be real numbers: .*{re.escape(cause)}"):
             call(forest)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,20 @@ class TestValidation:
     )
     def test_non_finite_sample_rejected(self, a, b, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
+            two_sample_ttest(a, b)
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ([10**400, 1], [1, 2], "sample a must be real numbers: int too large to convert to float"),
+            ([1, 2], [1, {}], "sample b must be real numbers: float() argument must be"),
+            ([1, 2], ["x", 2], "sample b must be real numbers: could not convert string to float: 'x'"),
+            ([1j, 2], [1, 2], "sample a must be real, got complex values"),
+        ],
+        ids=["beyond-float64", "dict", "word", "complex"],
+    )
+    def test_non_numeric_sample_named(self, a, b, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             two_sample_ttest(a, b)
 
     def test_zero_variance_different_means(self):

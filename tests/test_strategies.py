@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -101,6 +103,22 @@ class TestStrategyConfig:
             StrategyConfig(noise_sigmas=(0.01, 0.1))
         with pytest.raises(ValueError):
             StrategyConfig(noise_sigmas=(0.1, -0.5))
+
+    @pytest.mark.parametrize(
+        "sigmas, message",
+        [
+            (0.1, "noise_sigmas must be a sequence of real numbers, got 0.1"),
+            ("0.1", "noise_sigmas must be a sequence of real numbers, got '0.1'"),
+            (None, "noise_sigmas must be a sequence of real numbers, got None"),
+            ((0.1, "a"), "noise_sigmas[1] must be a real number, got 'a'"),
+            ((10**400, 0.1), "noise_sigmas[0] must be a real number, got 1000"),
+            ((0.1, True), "noise_sigmas[1] must be a real number, got True"),
+        ],
+        ids=["float", "str", "None", "word", "beyond-float64", "bool"],
+    )
+    def test_non_numeric_sigmas_named(self, sigmas, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            StrategyConfig(noise_sigmas=sigmas)
 
     def test_rejects_unknown_method(self):
         assert StrategyConfig(method=2).method is Method.MAX_DISPERSION
