@@ -1,10 +1,14 @@
-"""Numeric primitives shared by the tree, forest and evaluation code."""
+"""Numeric primitives shared by the tree, forest and evaluation code, and the recorder of their spans."""
 
+import itertools
 import math
 import numbers
 import operator
 import os
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +18,9 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 # working-set budget of all workers together: the build's tree groups gather
 # their points within it, the router its blocks, and the search its chunks and spans
 POOL_BYTES = 16 << 20
+# the open recording (its finished spans, its span ids and each thread's open span, top),
+# the no-op block of span outside one, and the lock that lets one recording open at a time
+_recording, _OFF, _ONE = None, nullcontext(), threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,11 +50,15 @@ class Dataset:
 
 def real_array(values, name: str, copy: bool = False) -> np.ndarray:
     """values as a float64 array, a new C-ordered one with copy, else
-    ValueError naming it: complex values, values that are not numbers and
-    numbers beyond float64 are refused, not cast."""
+    ValueError naming it: complex values, strings, values that are not
+    numbers and numbers beyond float64 are refused, not cast. An object
+    array is cast element by element."""
     try:
-        if not np.iscomplexobj(values):  # a cast to float64 would drop the imaginary part
-            return np.array(values, dtype=np.float64, order="C") if copy else np.asarray(values, dtype=np.float64)
+        array = np.asarray(values)
+        if array.dtype.kind in "SU":  # refused as check_real refuses a string, not parsed
+            raise ValueError(f"could not convert string to float: {array.flat[0].item() if array.size else ''!r}")
+        if array.dtype.kind != "c":  # a cast to float64 would drop the imaginary part
+            return np.array(array, dtype=np.float64, order="C") if copy else array.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be real numbers: {exc}") from None
     raise ValueError(f"{name} must be real, got complex values")
@@ -187,5 +198,45 @@ def parallel_map(fn, items) -> list:
     items = list(items)
     if len(items) < 2 or WORKERS < 2:
         return [fn(x) for x in items]
+    if (rec := _recording) is not None:  # a worker's spans have the caller's open span as parent
+        run, top = fn, getattr(rec[2], "top", -1)
+
+        def fn(x):
+            rec[2].top = top
+            return run(x)
+
     with ThreadPoolExecutor(min(WORKERS, len(items))) as pool:
         return list(pool.map(fn, items))
+
+
+def span(name: str):
+    """A with block, recorded as one span inside recording(); outside, one shared no-op."""
+    return _OFF if _recording is None else _record(name, *_recording)
+
+
+@contextmanager
+def _record(name: str, spans: list, ids, local):
+    own, parent, start = next(ids), getattr(local, "top", -1), time.perf_counter()
+    local.top = own
+    try:
+        yield
+    finally:
+        local.top = parent
+        spans.append((name, own, parent, start, time.perf_counter()))
+
+
+@contextmanager
+def recording():
+    """Yield the list of the spans that span blocks finish on any thread while
+    it is open: (name, id, parent id (-1: none), start, end), perf_counter
+    seconds. A parallel_map worker's spans have the caller's open span as
+    parent. One recording at a time; none is open after it, however it ends."""
+    global _recording
+    if not _ONE.acquire(blocking=False):
+        raise RuntimeError("a recording is already open")
+    _recording = [], itertools.count(), threading.local()
+    try:
+        yield _recording[0]
+    finally:
+        _recording = None
+        _ONE.release()

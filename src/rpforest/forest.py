@@ -38,6 +38,7 @@ class RpForest:
     leaf_base: np.ndarray
     membership: scipy.sparse.csr_matrix  # (leaves x points); its indptr/indices are the leaf CSR
     leaf_of: np.ndarray  # (T, n)
+    retries: np.ndarray  # (T,) direction rows each tree drew again after a split that left a side empty
 
     @cached_property
     def trees(self) -> list[RpTree]:
@@ -83,11 +84,12 @@ def build_forest(
         for t in range(n_trees)
     ]
     group = max(1, min(core.POOL_BYTES // core.WORKERS // (8 * data.n * data.d), -(-n_trees // core.WORKERS)))
-    groups = core.parallel_map(lambda lo: build_trees(data, cfg, rngs[lo : lo + group]), range(0, n_trees, group))
-    directions, splits, children, *counts, members, leaf_of = (np.concatenate(a) for a in zip(*groups))
-    node_base, leaf_base, indptr = (np.concatenate([[0], np.cumsum(a)]) for a in counts)
-    membership = scipy.sparse.csr_matrix((np.ones(members.size, bool), members, indptr), (leaf_base[-1], data.n))
-    return RpForest(cfg, data, master_seed, directions, splits, children, node_base, leaf_base, membership, leaf_of)
+    with core.span("build"):
+        groups = core.parallel_map(lambda lo: build_trees(data, cfg, rngs[lo : lo + group]), range(0, n_trees, group))
+        directions, splits, children, *counts, members, leaf_of, retries = (np.concatenate(a) for a in zip(*groups))
+        node_base, leaf_base, indptr = (np.concatenate([[0], np.cumsum(a)]) for a in counts)
+        membership = scipy.sparse.csr_matrix((np.ones(members.size, bool), members, indptr), (leaf_base[-1], data.n))
+    return RpForest(cfg, data, master_seed, directions, splits, children, node_base, leaf_base, membership, leaf_of, retries)
 
 
 def _pool(forest: RpForest, leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,14 +100,15 @@ def _pool(forest: RpForest, leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     which the merged count cannot exceed: the kernel writes without bounds
     checks. The indices are then cut to the merged count in place, so their
     unwritten tail goes back to the allocator before ranking allocates."""
-    csr, (m, n_trees) = forest.membership, leaves.shape
-    ind = leaves.astype(csr.indices.dtype).ravel()  # the kernels take one index dtype
-    lhs = (np.arange(0, ind.size + 1, n_trees, dtype=ind.dtype), ind)  # (queries x leaves) indptr, indices
-    nnz = int((csr.indptr[ind + 1] - csr.indptr[ind]).sum())
-    out = (np.empty(m + 1, ind.dtype), np.empty(nnz, ind.dtype), np.empty(nnz, bool))  # the pools' CSR
-    _sparsetools.csr_matmat(m, forest.data.n, *lhs, np.ones(ind.size, bool), csr.indptr, csr.indices, csr.data, *out)
-    out[1].resize(out[0][-1], refcheck=False)
-    return out[:2]
+    with core.span("pool"):
+        csr, (m, n_trees) = forest.membership, leaves.shape
+        ind = leaves.astype(csr.indices.dtype).ravel()  # the kernels take one index dtype
+        lhs = (np.arange(0, ind.size + 1, n_trees, dtype=ind.dtype), ind)  # (queries x leaves) indptr, indices
+        nnz = int((csr.indptr[ind + 1] - csr.indptr[ind]).sum())
+        out = (np.empty(m + 1, ind.dtype), np.empty(nnz, ind.dtype), np.empty(nnz, bool))  # the pools' CSR
+        _sparsetools.csr_matmat(m, forest.data.n, *lhs, np.ones(ind.size, bool), csr.indptr, csr.indices, csr.data, *out)
+        out[1].resize(out[0][-1], refcheck=False)
+        return out[:2]
 
 
 def _kernel(forest: RpForest, queries, k: int, self_ids=None, leaves=None) -> oracle.NeighborTable:
@@ -113,24 +116,28 @@ def _kernel(forest: RpForest, queries, k: int, self_ids=None, leaves=None) -> or
     rank. A lone query is pooled and ranked directly; a batch goes through
     oracle.search, each query's width being 8 bytes per candidate before merging
     (the pooling product's input), with ranking spans sized after merging."""
-    k = check_int(k, "k", 1)
-    queries = check_queries(queries, forest.data.d)
-    m = queries.shape[0]
-    self_ids = check_self_ids(self_ids, m, forest.data.n)
-    if leaves is None:  # route in blocks whose gathered points and directions fit the budget
-        step = max(1, core.POOL_BYTES // (16 * forest.data.d * (forest.node_base.size - 1)))
-        leaves = np.concatenate([route(*forest.routes, queries[lo : lo + step]) for lo in range(0, max(m, 1), step)])
-    if m == 1:  # chunks, spans and the reorder below would all be identities
-        return oracle.rank(forest.data.points, queries, *_pool(forest, leaves), k, self_ids)
-    # queries sharing a first-tree leaf share most candidates: taken together
-    # they keep a chunk's gathered points in cache
-    order = np.argsort(leaves[:, 0], kind="stable")
-    leaves, queries = leaves[order], queries[order]
-    self_ids = None if self_ids is None else self_ids[order]
-    merged = (forest.membership.indptr[leaves + 1] - forest.membership.indptr[leaves]).sum(axis=1)
-    rows = oracle.search(forest.data.points, queries, self_ids, k, 8 * merged,
-                         lambda lo, hi: _pool(forest, leaves[lo:hi]), lambda: forest._gram)
-    return rows[np.argsort(order)]
+    with core.span("query"):
+        k = check_int(k, "k", 1)
+        queries = check_queries(queries, forest.data.d)
+        m = queries.shape[0]
+        self_ids = check_self_ids(self_ids, m, forest.data.n)
+        if leaves is None:  # route in blocks whose gathered points and directions fit the budget
+            step = max(1, core.POOL_BYTES // (16 * forest.data.d * (forest.node_base.size - 1)))
+            with core.span("route"):
+                leaves = np.concatenate([route(*forest.routes, queries[lo : lo + step]) for lo in range(0, max(m, 1), step)])
+        if m == 1:  # chunks, spans and the reorder below would all be identities
+            pool = _pool(forest, leaves)
+            with core.span("rank"):
+                return oracle.rank(forest.data.points, queries, *pool, k, self_ids)
+        # queries sharing a first-tree leaf share most candidates: taken together
+        # they keep a chunk's gathered points in cache
+        order = np.argsort(leaves[:, 0], kind="stable")
+        leaves, queries = leaves[order], queries[order]
+        self_ids = None if self_ids is None else self_ids[order]
+        merged = (forest.membership.indptr[leaves + 1] - forest.membership.indptr[leaves]).sum(axis=1)
+        rows = oracle.search(forest.data.points, queries, self_ids, k, 8 * merged,
+                             lambda lo, hi: _pool(forest, leaves[lo:hi]), lambda: forest._gram)
+        return rows[np.argsort(order)]
 
 
 def query_knn(forest: RpForest, x, k: int, self_id: int | None = None) -> oracle.NeighborList:
@@ -139,7 +146,7 @@ def query_knn(forest: RpForest, x, k: int, self_id: int | None = None) -> oracle
     Returns fewer than k entries when the pool is smaller than k.
     """
     own = None if self_id is None else [self_id]
-    return _kernel(forest, np.asarray(x)[None], k, own)[0]
+    return _kernel(forest, [x], k, own)[0]
 
 
 def query_all_training(forest: RpForest, k: int) -> oracle.NeighborTable:
@@ -155,3 +162,22 @@ def query_batch(
 ) -> oracle.NeighborTable:
     """query_knn for a batch of arbitrary query points."""
     return _kernel(forest, queries, k, self_ids)
+
+
+def structure_counts(forest: RpForest) -> dict[str, float]:
+    """The forest's shape, read off its arrays: node and leaf counts, the
+    deepest leaf's depth, leaf sizes, forced leaves (leaf_capacity points or
+    more), degenerate retries, and the training points' pool sizes less their own id."""
+    base, sizes, (n_trees, n) = forest.node_base, np.diff(forest.membership.indptr), forest.leaf_of.shape
+    tree, row, depth = np.repeat(np.arange(n_trees), np.diff(base)), base[:-1][np.diff(base) > 0], 0
+    while row.size:  # every tree's internal nodes one level down
+        kids = forest.children[row]
+        row, depth = (kids + base[tree[row], None])[kids >= 0], depth + 1
+    step = max(1, core.POOL_BYTES // (8 * n_trees * int(sizes.max())))  # pools of at most POOL_BYTES before merging
+    pools = np.concatenate([np.diff(_pool(forest, forest.leaf_of[:, lo : lo + step].T + forest.leaf_base[:-1])[0])
+                            for lo in range(0, n, step)]) - 1
+    return dict(internal_nodes=forest.splits.size, leaves=sizes.size, depth_max=depth, leaf_size_min=int(sizes.min()),
+                leaf_size_mean=float(sizes.mean()), leaf_size_max=int(sizes.max()),
+                forced_leaves=int(np.count_nonzero(sizes >= forest.tree_config.leaf_capacity)),
+                degenerate_retries=int(forest.retries.sum()), pool_size_mean=float(pools.mean()),
+                pool_size_p95=float(np.percentile(pools, 95)))

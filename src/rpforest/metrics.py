@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import check_int
+from .core import check_int, span
 from .oracle import NeighborList, NeighborTable
 
 
@@ -40,15 +40,16 @@ def missing_rate(
     truth: Sequence[NeighborList], found: Sequence[NeighborList], k: int
 ) -> tuple[float, np.ndarray]:
     """Average missing rate: sum of per-point missed true neighbors over n*k."""
-    k, (_, true_ids, _), (lengths, found_ids, _) = _read(truth, found, k)
-    n = lengths.size
-    # (row, id) keys: a true neighbour is missed when its key is not found
-    span = 1 + max(int(true_ids.max()), int(found_ids.max(initial=0)))
-    true_rows = np.arange(n).repeat(k)
-    found_keys = np.arange(n).repeat(lengths) * span + found_ids
-    hit = np.isin(true_rows * span + true_ids, found_keys, assume_unique=True)
-    missed = k - np.bincount(true_rows[hit], minlength=n)
-    return float(missed.sum() / (n * k)), missed
+    with span("metrics"):
+        k, (_, true_ids, _), (lengths, found_ids, _) = _read(truth, found, k)
+        n = lengths.size
+        # (row, id) keys: a true neighbour is missed when its key is not found
+        stride = 1 + max(int(true_ids.max()), int(found_ids.max(initial=0)))
+        true_rows = np.arange(n).repeat(k)
+        found_keys = np.arange(n).repeat(lengths) * stride + found_ids
+        hit = np.isin(true_rows * stride + true_ids, found_keys, assume_unique=True)
+        missed = k - np.bincount(true_rows[hit], minlength=n)
+        return float(missed.sum() / (n * k)), missed
 
 
 def distance_error(
@@ -60,9 +61,10 @@ def distance_error(
     empty found rows are excluded from the average and counted separately.
     Returns (mean error, number of excluded rows).
     """
-    k, (_, _, true_dists), (lengths, _, found_dists) = _read(truth, found, k)
-    kept = lengths > 0
-    if not kept.any():
-        return float("nan"), int(lengths.size)
-    ends = np.cumsum(lengths) - lengths + np.minimum(k, lengths) - 1
-    return float(np.mean(found_dists[ends[kept]] - true_dists[k - 1 :: k][kept])), int(np.count_nonzero(~kept))
+    with span("metrics"):
+        k, (_, _, true_dists), (lengths, _, found_dists) = _read(truth, found, k)
+        kept = lengths > 0
+        if not kept.any():
+            return float("nan"), int(lengths.size)
+        ends = np.cumsum(lengths) - lengths + np.minimum(k, lengths) - 1
+        return float(np.mean(found_dists[ends[kept]] - true_dists[k - 1 :: k][kept])), int(np.count_nonzero(~kept))

@@ -299,7 +299,8 @@ def search(points, queries, self_ids, k: int, widths, pool, gram=None) -> Neighb
         indptr, indices = pool(lo, hi)
         xs, own = queries[lo:hi], None if self_ids is None else self_ids[lo:hi]
         spans = _direct_spans(np.diff(indptr), d) if gram is None else _spans(np.diff(indptr), budget, held)
-        return [rank(points, xs[a:b], indptr[a : b + 1], indices, k, None if own is None else own[a:b], gram) for a, b in spans]
+        with core.span("rank"):
+            return [rank(points, xs[a:b], indptr[a : b + 1], indices, k, None if own is None else own[a:b], gram) for a, b in spans]
 
     return NeighborTable.concat([t for part in core.parallel_map(task, _spans(widths, budget)) for t in part])
 
@@ -315,31 +316,33 @@ def _rows(data: Dataset, queries, self_ids, k: int) -> NeighborTable:
     queries by the same mean. Filtering a row holds 9 n + 8 b bytes, its
     width in search: the product row, a bool mask, b minima (_groups).
     """
-    queries = check_queries(queries, data.d)
-    self_ids = check_self_ids(self_ids, queries.shape[0], data.n)
-    k = check_int(k, "k", 1, data.n - (self_ids is not None))
-    if queries.shape[0] == 1:  # every point but the self id, dropped before rank allocates
-        ids = data.ids if self_ids is None else np.delete(data.ids, self_ids)
-        return rank(data.points, queries, np.array([0, ids.size]), ids, k, None)
-    centre, ya = centred(data.points)
-    (xa, x2), y2_max = _lifted(queries, centre), ya[:, -1].max()  # the chunks read xa and ya alone
+    with core.span("oracle"):
+        queries = check_queries(queries, data.d)
+        self_ids = check_self_ids(self_ids, queries.shape[0], data.n)
+        k = check_int(k, "k", 1, data.n - (self_ids is not None))
+        if queries.shape[0] == 1:  # every point but the self id, dropped before rank allocates
+            ids = data.ids if self_ids is None else np.delete(data.ids, self_ids)
+            with core.span("rank"):
+                return rank(data.points, queries, np.array([0, ids.size]), ids, k, None)
+        centre, ya = centred(data.points)
+        (xa, x2), y2_max = _lifted(queries, centre), ya[:, -1].max()  # the chunks read xa and ya alone
 
-    def pool(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = xa[lo:hi] @ ya.T
-            if self_ids is not None:
-                h[np.arange(hi - lo), self_ids[lo:hi]] = np.inf  # rank drops the self id
-            drop = h > _cut(_bound(h, k), x2[lo:hi], y2_max, data.d)[:, None]
-        del h
-        flat = np.flatnonzero(np.logical_not(drop, out=drop))
-        return np.searchsorted(flat, np.arange(0, drop.size + 1, data.n)), flat % data.n
+        def pool(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                h = xa[lo:hi] @ ya.T
+                if self_ids is not None:
+                    h[np.arange(hi - lo), self_ids[lo:hi]] = np.inf  # rank drops the self id
+                drop = h > _cut(_bound(h, k), x2[lo:hi], y2_max, data.d)[:, None]
+            del h
+            flat = np.flatnonzero(np.logical_not(drop, out=drop))
+            return np.searchsorted(flat, np.arange(0, drop.size + 1, data.n)), flat % data.n
 
-    return search(data.points, queries, self_ids, k, np.full(queries.shape[0], 9 * data.n + 8 * _groups(k, data.n)), pool)
+        return search(data.points, queries, self_ids, k, np.full(queries.shape[0], 9 * data.n + 8 * _groups(k, data.n)), pool)
 
 
 def exact_knn(data: Dataset, x, k: int, self_id: int | None = None) -> NeighborList:
     """The k nearest points to x by (distance, id), leaving out self_id."""
-    return _rows(data, np.asarray(x)[None], None if self_id is None else [self_id], k)[0]
+    return _rows(data, [x], None if self_id is None else [self_id], k)[0]
 
 
 def all_true_neighbors(data: Dataset, k: int) -> NeighborTable:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, Level, check_int, check_queries
+from .core import Dataset, Level, check_int, check_queries, span
 from .strategies import StrategyConfig, choose_directions
 
 MAX_DEGENERATE_RETRIES = 3  # fresh draws for a node whose split leaves a side empty
@@ -115,7 +115,7 @@ def tree_views(directions, splits, children, node_base, leaf_base, indptr, membe
 
 def build_tree(data: Dataset, cfg: TreeConfig, rng: np.random.Generator) -> RpTree:
     """Partition the dataset into an rpTree; see build_trees."""
-    directions, splits, children, _, _, sizes, members, leaf_of = build_trees(data, cfg, [rng])
+    directions, splits, children, _, _, sizes, members, leaf_of, _ = build_trees(data, cfg, [rng])
     indptr = np.concatenate([[0], np.cumsum(sizes)])
     return tree_views(directions, splits, children, [0, splits.size], [0, sizes.size], indptr, members, leaf_of)[0]
 
@@ -139,20 +139,22 @@ def build_trees(data: Dataset, cfg: TreeConfig, rngs):
     (directions, splits, children; internal nodes level by level, child codes
     local to the tree), the nodes and the leaves of each tree, the leaf sizes
     and the members grouped by leaf (leaves left to right, members
-    ascending), and the (trees, n) table of each point's local leaf index.
+    ascending), the (trees, n) table of each point's local leaf index, and
+    each tree's degenerate retries (see _split_level).
     """
     n, cap, n_trees = data.n, cfg.leaf_capacity, len(rngs)
     perm = np.tile(data.ids, n_trees)
     # segments to split at the current level, by start position in perm
     start, size = np.arange(n_trees) * n, np.full(n_trees, n)
-    parent, side = np.full(n_trees, -1), np.zeros(n_trees, dtype=np.intp)
+    parent, side, retries = np.full(n_trees, -1), np.zeros(n_trees, dtype=np.intp), 0
     nodes, leaves = [], []  # per level: (direction, split, start, parent, side)
     n_nodes = 0
     while start.size:
         small = size < cap
         leaves.append((start[small], size[small], parent[small], side[small]))
         start, size, parent, side = start[~small], size[~small], parent[~small], side[~small]
-        direction, c, n_left = _split_level(data.points, perm, start, size, cfg, rngs)
+        direction, c, n_left, redrawn = _split_level(data.points, perm, start, size, cfg, rngs)
+        retries += redrawn
         ok = n_left > 0
         leaves.append((start[~ok], size[~ok], parent[~ok], side[~ok]))
         row = n_nodes + np.arange(np.count_nonzero(ok))
@@ -162,31 +164,38 @@ def build_trees(data: Dataset, cfg: TreeConfig, rngs):
         start = np.column_stack([start, start + n_left]).ravel()
         size = np.column_stack([n_left, size - n_left]).ravel()
         parent, side = row.repeat(2), np.tile([0, 1], row.size)
-    return _assemble(data, perm, nodes, leaves)
+    with span("partition"):
+        return *_assemble(data, perm, nodes, leaves), retries
 
 
 def _split_level(points, perm, start, size, cfg: TreeConfig, rngs):
     """Split every segment of one level: its direction, split value and left
-    size (0 where no split was found). perm is reordered in place so every
-    segment is sorted by its projection, the left child first."""
+    size (0 where no split was found), and each tree's retries: the direction
+    rows it drew, less its nodes that split and its nodes forced into leaves.
+    perm is reordered in place so every segment is sorted by its projection,
+    the left child first."""
     m = start.size
     direction, c, n_left = np.empty((m, points.shape[1])), np.empty(m), np.zeros(m, dtype=np.intp)
-    todo = np.arange(m)
+    todo, retries = np.arange(m), -np.bincount(start // points.shape[0], minlength=len(rngs))
     for _ in range(MAX_DEGENERATE_RETRIES + 1):
         if not todo.size:
             break
         sizes = size[todo]
-        # each node's rows of perm, node after node: the level's gather offsets
-        pos = np.repeat(start[todo] - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-        ids = perm[pos]
-        level = Level(points.take(ids, axis=0), sizes)
+        with span("partition"):  # each node's rows of perm, node after node: the level's gather offsets
+            pos = np.repeat(start[todo] - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+            ids = perm[pos]
+            level = Level(points.take(ids, axis=0), sizes)
         pts, seg, first = level.points, level.seg, level.starts
         counts = np.bincount(start[todo] // points.shape[0], minlength=len(rngs))
-        r, _ = choose_directions(level, cfg.strategy, rngs, counts)
-        u = np.concatenate([rng.uniform(0.25, 0.75, k) for rng, k in zip(rngs, counts) if k])
-        values = level.project(r)
-        order, cut, left = split_segments(values, level, u)
-        perm[pos] = ids[order]
+        retries += counts
+        with span("direction"):
+            r, _ = choose_directions(level, cfg.strategy, rngs, counts)
+        with span("split"):
+            u = np.concatenate([rng.uniform(0.25, 0.75, k) for rng, k in zip(rngs, counts) if k])
+            values = level.project(r)
+            order, cut, left = split_segments(values, level, u)
+        with span("partition"):
+            perm[pos] = ids[order]
         failed = (left == 0) | (left == sizes)
         direction[todo], c[todo], n_left[todo] = r, cut, np.where(failed, 0, left)
         # all values equal: another direction helps only if the points differ
@@ -195,7 +204,7 @@ def _split_level(points, perm, start, size, cfg: TreeConfig, rngs):
             differs = np.any(pts != pts[first[seg]], axis=1)
             identical &= np.bincount(seg, weights=differs, minlength=todo.size) == 0
         todo = todo[failed & ~identical]
-    return direction, c, n_left
+    return direction, c, n_left, retries
 
 
 def _assemble(data: Dataset, perm, nodes, leaves):

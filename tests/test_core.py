@@ -58,8 +58,9 @@ class TestDataset:
             ([[{}, 0.0]], "not 'dict'"),
             ([["x", 0.0]], "could not convert string to float: 'x'"),
             ([[1.0, 2.0], [3.0]], "inhomogeneous shape"),
+            ([["1", "2"], ["3", "4"]], "could not convert string to float: '1'"),
         ],
-        ids=["beyond-float64", "dict", "word", "ragged"],
+        ids=["beyond-float64", "dict", "word", "ragged", "numeric-strings"],
     )
     def test_rejects_non_numbers_by_name(self, make, points, cause):
         with pytest.raises(ValueError, match=f"^points must be real numbers: .*{re.escape(cause)}"):

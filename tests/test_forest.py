@@ -244,8 +244,11 @@ class TestQueryValidation:
             (lambda f: query_knn(f, ["x", 0.0], 3), "could not convert string to float"),
             (lambda f: query_batch(f, [[0.0, 10**400], [0.0, 0.0]], 3), "int too large to convert to float"),
             (lambda f: query_batch(f, [[0.0, 0.0], [0.0]], 3), "inhomogeneous shape"),
+            (lambda f: query_knn(f, [[1, 2], [3]], 3), "inhomogeneous shape"),
+            (lambda f: query_knn(f, ["1", "2"], 3), "could not convert string to float: '1'"),
         ],
-        ids=["knn-beyond-float64", "knn-dict", "knn-word", "batch-beyond-float64", "batch-ragged"],
+        ids=["knn-beyond-float64", "knn-dict", "knn-word", "batch-beyond-float64", "batch-ragged", "knn-ragged",
+             "knn-numeric-strings"],
     )
     def test_non_numeric_queries_named(self, call, cause):
         forest = build_forest(random_dataset(14, n=50), TreeConfig(), 2, master_seed=17)

@@ -133,6 +133,8 @@ class TestExactKnn:
             (lambda ds: exact_knn(ds, [np.inf, 0.0], 3), "NaN or Inf"),
             (lambda ds: exact_knn(ds, 0.5, 3), "dimension mismatch"),
             (lambda ds: exact_knn(ds, np.array([0.0, 1j]), 3), "queries must be real"),
+            (lambda ds: exact_knn(ds, [[1, 2], [3]], 3), "^queries must be real numbers: .*inhomogeneous shape"),
+            (lambda ds: exact_knn(ds, [b"1", b"2"], 3), "^queries must be real numbers: could not convert string to float: b'1'"),
             (lambda ds: exact_knn(ds, [0.0, 0.0], 3, self_id=-1), "self ids"),
             (lambda ds: exact_knn(ds, [0.0, 0.0], 3, self_id=ds.n), "self ids"),
             (lambda ds: exact_knn(ds, [0.0, 0.0], 3, self_id=1.0), "self ids"),

@@ -93,7 +93,8 @@ def stacked_forest(data, capacities, seed) -> RpForest:
     membership = scipy.sparse.csr_matrix((np.ones(members.size, bool), members, indptr), (leaf_base[-1], data.n))
     rows = [np.concatenate([getattr(tree, a) for tree in trees]) for a in ("directions", "splits", "children")]
     leaf_of = np.stack([tree.leaf_of for tree in trees])
-    return RpForest(TreeConfig(), data, seed, *rows, node_base, leaf_base, membership, leaf_of)
+    retries = np.zeros(len(trees), np.intp)  # build_tree's views drop the build's retry count; no test here reads it
+    return RpForest(TreeConfig(), data, seed, *rows, node_base, leaf_base, membership, leaf_of, retries)
 
 
 @pytest.mark.parametrize(

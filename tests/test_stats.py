@@ -59,8 +59,9 @@ class TestValidation:
             ([1, 2], [1, {}], "sample b must be real numbers: float() argument must be"),
             ([1, 2], ["x", 2], "sample b must be real numbers: could not convert string to float: 'x'"),
             ([1j, 2], [1, 2], "sample a must be real, got complex values"),
+            (["1", "2"], ["3", "5"], "sample a must be real numbers: could not convert string to float: '1'"),
         ],
-        ids=["beyond-float64", "dict", "word", "complex"],
+        ids=["beyond-float64", "dict", "word", "complex", "numeric-strings"],
     )
     def test_non_numeric_sample_named(self, a, b, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
